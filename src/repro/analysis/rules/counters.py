@@ -27,6 +27,7 @@ READ_PRIMITIVES = {
     "scan_chunks",
     "scan_blocks",
     "scan_quantized_chunks",
+    "read_groups",
     "read_block",
     "read_contiguous",
     "read_one",

@@ -153,8 +153,13 @@ class StorageBackend(abc.ABC):
         """
         return max(0, int(stop) - int(start)) * self.series_bytes
 
-    def physical_bytes_for(self, positions: np.ndarray) -> int:
-        """Stored bytes backing the rows at ``positions`` (geometry only)."""
+    def physical_bytes_for(self, positions: np.ndarray, sizes: np.ndarray | None = None) -> int:
+        """Stored bytes backing the rows at ``positions`` (geometry only).
+
+        ``sizes`` splits ``positions`` into consecutive groups that are read
+        separately (:meth:`SeriesStore.read_groups`): the result is the sum
+        over the groups, as if each had been asked for on its own.
+        """
         return int(np.asarray(positions).size) * self.series_bytes
 
     # -- raw reads -----------------------------------------------------------
@@ -691,12 +696,17 @@ class CompressedBackend(StorageBackend):
         b0, b1 = self._block_range(a0, a1)
         return info.stored_bytes(b0, b1)
 
-    def physical_bytes_for(self, positions: np.ndarray) -> int:
+    def physical_bytes_for(self, positions: np.ndarray, sizes: np.ndarray | None = None) -> int:
         info = self._open()
         idx = np.asarray(positions, dtype=np.int64)
         if idx.size == 0:
             return 0
-        blocks = np.unique((idx + self._start) // info.block_rows)
+        blocks = (idx + self._start) // info.block_rows
+        stride = len(info.table)
+        if sizes is not None:
+            # a stored block is fetched once per group that touches it
+            blocks += np.repeat(np.arange(len(sizes)), sizes) * stride
+        blocks = np.unique(blocks) % stride
         return int(info.table["nbytes"][blocks].astype(np.int64).sum())
 
     # -- structure -------------------------------------------------------------

@@ -450,8 +450,8 @@ class FaultInjectingBackend(StorageBackend):
     def physical_bytes(self, start: int, stop: int) -> int:
         return self.inner.physical_bytes(start, stop)
 
-    def physical_bytes_for(self, positions: np.ndarray) -> int:
-        return self.inner.physical_bytes_for(positions)
+    def physical_bytes_for(self, positions: np.ndarray, sizes: np.ndarray | None = None) -> int:
+        return self.inner.physical_bytes_for(positions, sizes)
 
     def release(self, start: int = 0, stop: int | None = None) -> None:
         self.inner.release(start, stop)

@@ -61,9 +61,10 @@ class SeriesStore:
     * :meth:`scan` — full sequential scan (UCR Suite, MASS, index build passes);
     * :meth:`scan_chunks` — the same scan as a bounded-memory chunk stream
       (identical accounting; the streaming form of out-of-core passes);
-    * :meth:`read_block` — contiguous block read, counted as one random access
-      (seek) plus the sequential pages of the block (leaf reads, skip-sequential
-      refinement of ADS+/VA+file);
+    * :meth:`read_groups` — several blocks (leaves, or the runs of a
+      skip-sequential refinement) in one gather, each counted as one random
+      access (seek) plus the sequential pages of the block; :meth:`read_block`
+      is its one-block case;
     * :meth:`read_one` — single-series random access.
 
     Every call updates the shared :class:`~repro.core.stats.AccessCounter`, which
@@ -412,25 +413,55 @@ class SeriesStore:
             )
             self.backend.release(max(0, start - chunk_rows), stop)
 
+    def _accounted_take(
+        self, idx: np.ndarray, groups: int, pages: int, sizes: np.ndarray | None
+    ) -> np.ndarray:
+        """One backend gather of ``idx``, charged as ``groups`` block reads."""
+        self.counter.random_accesses += groups
+        self.counter.sequential_pages += pages
+        self.counter.series_read += int(idx.size)
+        self.counter.bytes_read += int(idx.size) * self._series_bytes
+        self.counter.physical_bytes_read += self.backend.physical_bytes_for(idx, sizes)
+        self._verify_positions(idx)
+        return self._serve(lambda: self._take(idx))
+
+    def read_groups(self, positions: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Read several physical blocks with one gather.
+
+        ``positions`` concatenates the groups and ``sizes[g]`` is the number of
+        rows of group ``g``; each group is one physical block (an index leaf,
+        or one run of consecutive rows of a skip-sequential scan).  Charged
+        exactly like one :meth:`read_block` — for a run of consecutive rows,
+        one :meth:`read_contiguous` — per non-empty group: a random access
+        plus the sequential pages of the group, and the stored bytes of the
+        blocks each group touches.  The rows come back in ``positions`` order
+        and must be treated as read-only.
+        """
+        idx = np.asarray(positions, dtype=np.int64)
+        if len(sizes) == 1 and sizes[0] == idx.size:
+            return self.read_block(idx)  # scalar arithmetic for the common single block
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if int(sizes.sum()) != idx.size:
+            raise ValueError("group sizes must add up to the number of positions")
+        if idx.size == 0:
+            return np.empty((0, self.length), dtype=self.backend.dtype)
+        pages = -(-sizes // self._series_per_page)
+        return self._accounted_take(
+            idx, int(np.count_nonzero(sizes)), int(pages.sum()), sizes
+        )
+
     def read_block(self, positions: np.ndarray | list[int]) -> np.ndarray:
         """Read the series at ``positions`` as one contiguous block access.
 
         The caller guarantees the positions belong to one physical block (e.g.
-        the series materialized in one index leaf).  Counted as a single random
-        access plus the sequential pages covering the block.  The returned
-        block must be treated as read-only, exactly like the views handed out
-        by :meth:`scan`/:meth:`read_contiguous`/:meth:`read_one`.
+        the series materialized in one index leaf): the one-group case of
+        :meth:`read_groups`, counted as a single random access plus the
+        sequential pages covering the block.
         """
         idx = np.asarray(positions, dtype=np.int64)
         if idx.size == 0:
             return np.empty((0, self.length), dtype=self.backend.dtype)
-        self.counter.random_accesses += 1
-        self.counter.sequential_pages += self.pages_for_series(int(idx.size))
-        self.counter.series_read += int(idx.size)
-        self.counter.bytes_read += int(idx.size) * self._series_bytes
-        self.counter.physical_bytes_read += self.backend.physical_bytes_for(idx)
-        self._verify_positions(idx)
-        return self._serve(lambda: self._take(idx))
+        return self._accounted_take(idx, 1, self.pages_for_series(int(idx.size)), None)
 
     def read_contiguous(self, start: int, stop: int) -> np.ndarray:
         """Read series ``start:stop`` from the raw file as one skip + block read.

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from ...core.answers import KnnAnswerSet
-from ...core.distance import squared_euclidean_batch
 from ...core.stats import QueryStats
 from ...core.storage import SeriesStore
 from ...summarization.sax import IsaxSummarizer, summarize_stream
@@ -137,15 +136,8 @@ class AdsPlusIndex(SearchMethod):
         answers = self._make_answer_set(k)
         paa = self.summarizer.paa.transform(query)
         leaf = self.tree.leaf_for(paa)
-        if leaf is None or leaf.size == 0:
-            return answers
-        positions = leaf.position_block()
-        block = self.store.read_block(positions)
-        distances = squared_euclidean_batch(query, block)
-        answers.offer_batch(positions, distances)
-        stats.series_examined += leaf.size
-        stats.leaves_visited += 1
-        stats.nodes_visited += 1
+        if leaf is not None:
+            self._scan_leaves([leaf], query, answers, stats)
         return answers
 
     def _knn_exact(self, query: np.ndarray, k: int, stats: QueryStats) -> KnnAnswerSet:
@@ -161,13 +153,9 @@ class AdsPlusIndex(SearchMethod):
         # positional tie-break, so equality must not be skipped.
         survivors = np.flatnonzero(bounds <= threshold)
 
-        # Skip-sequential scan: read contiguous runs of surviving positions.
-        for start, stop in _contiguous_runs(survivors):
-            block = self.store.read_contiguous(int(start), int(stop))
-            positions = np.arange(start, stop)
-            distances = squared_euclidean_batch(query, block)
-            answers.offer_batch(positions, distances)
-            stats.series_examined += int(stop - start)
+        # Skip-sequential scan: every run of surviving positions costs a seek.
+        # The threshold was fixed before the scan, so it is one refinement.
+        self._scan_runs(survivors, query, answers, stats)
         return answers
 
     def describe(self) -> dict:
@@ -180,15 +168,3 @@ class AdsPlusIndex(SearchMethod):
             build_mode=self.build_mode,
         )
         return info
-
-
-def _contiguous_runs(positions: np.ndarray):
-    """Yield (start, stop) pairs covering consecutive runs in sorted positions."""
-    if positions.size == 0:
-        return
-    breaks = np.flatnonzero(np.diff(positions) > 1)
-    start_idx = 0
-    for b in breaks:
-        yield positions[start_idx], positions[b] + 1
-        start_idx = b + 1
-    yield positions[start_idx], positions[-1] + 1

@@ -10,6 +10,7 @@ built on (:class:`~repro.core.stats.QueryStats`,
 from __future__ import annotations
 
 import abc
+import heapq
 import threading
 import time
 from contextlib import contextmanager
@@ -518,6 +519,79 @@ class SearchMethod(abc.ABC):
             stats.retries = share(delta.retries)
             stats_list.append(stats)
         return stats_list
+
+    # -- fused refinement ----------------------------------------------------------
+    # Every refinement step — the leaves a traversal decided to visit, the
+    # survivors of a filter pass — is one store gather, one distance kernel
+    # call and one answer-set offer, however many physical blocks ("groups")
+    # it spans; the store still charges each group as its own block read.
+
+    def _scan_groups(self, positions: np.ndarray, sizes, query, answers, stats: QueryStats) -> None:
+        """Refine ``positions``, read as consecutive groups of ``sizes`` rows."""
+        block = self.store.read_groups(positions, sizes)
+        answers.offer_batch(positions, squared_euclidean_batch(query, block))
+        stats.series_examined += int(positions.size)
+
+    def _scan_runs(self, positions: np.ndarray, query, answers, stats: QueryStats) -> None:
+        """Skip-sequential refinement of ascending ``positions``: every run of
+        consecutive rows is one group (one seek), as ADS+ SIMS and the VA+file
+        read the raw file."""
+        starts = np.flatnonzero(np.diff(positions) > 1) + 1
+        sizes = np.diff(starts, prepend=0, append=positions.size)
+        self._scan_groups(positions, sizes, query, answers, stats)
+
+    def _scan_leaves(self, leaves: list, query, answers, stats: QueryStats) -> None:
+        """Refine the series of index ``leaves``; each leaf is one group."""
+        blocks = [leaf.position_block() for leaf in leaves]
+        sizes = [block.size for block in blocks]
+        visited = len(sizes) - sizes.count(0)
+        if not visited:
+            return
+        positions = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        self._scan_groups(positions, sizes, query, answers, stats)
+        stats.leaves_visited += visited
+        stats.nodes_visited += visited
+
+    def _best_first(
+        self, heap: list, expand, start_leaf, query: np.ndarray, answers, stats: QueryStats
+    ) -> None:
+        """Bounded best-first traversal of a ``(bound, tiebreak, node)`` heap.
+
+        ``expand(node)`` pushes an internal node's surviving children;
+        ``start_leaf`` was scanned by the approximate descent and is skipped.
+        Consecutive heap-top leaves whose bound still passes the best-so-far
+        are scanned as one group of at most ``leaf_capacity`` series — the
+        unit of I/O the index was built with.  A serial traversal re-checks
+        the best-so-far after every leaf, so it scans the same leaves except
+        that it may stop inside the *final* group: the coalesced traversal
+        examines fewer than ``leaf_capacity`` series more, and returns the
+        same answers (extra candidates never displace a true neighbor).
+        """
+        while heap:
+            bound, _, node = heapq.heappop(heap)
+            worst = answers.worst_squared_distance
+            # Strict >: a node whose bound ties the k-th distance may still
+            # hold an equal-distance answer that wins the positional tie-break.
+            if bound * bound > worst:
+                break
+            if not node.is_leaf:
+                stats.nodes_visited += 1
+                expand(node)
+                continue
+            leaves = [] if node is start_leaf else [node]
+            room = self.leaf_capacity - (node.size if leaves else 0)
+            while heap:
+                bound, _, node = heap[0]
+                if not node.is_leaf or bound * bound > worst:
+                    break
+                size = node.size
+                if size > room:
+                    break
+                heapq.heappop(heap)
+                if node is not start_leaf:
+                    leaves.append(node)
+                    room -= size
+            self._scan_leaves(leaves, query, answers, stats)
 
     def knn_approximate(self, query: KnnQuery) -> SearchResult:
         """Answer an ng-approximate k-NN query (one index path, one leaf)."""

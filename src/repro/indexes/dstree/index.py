@@ -23,7 +23,6 @@ import numpy as np
 
 from ...core.answers import KnnAnswerSet, RangeAnswerSet
 from ...core.buffer import BufferPool
-from ...core.distance import squared_euclidean_batch
 from ...core.stats import QueryStats
 from ...core.storage import SeriesStore
 from ...summarization.eapca import (
@@ -383,29 +382,11 @@ class DsTreeIndex(SearchMethod):
             node = node.route(query)
         return node
 
-    def _scan_leaf(
-        self,
-        node: DsTreeNode,
-        query: np.ndarray,
-        answers: KnnAnswerSet,
-        stats: QueryStats,
-    ) -> None:
-        if node.size == 0:
-            return
-        positions = node.position_block()
-        block = self.store.read_block(positions)
-        distances = squared_euclidean_batch(query, block)
-        answers.offer_batch(positions, distances)
-        stats.series_examined += node.size
-        stats.leaves_visited += 1
-        stats.nodes_visited += 1
-
     def _knn_approximate(
         self, query: np.ndarray, k: int, stats: QueryStats
     ) -> KnnAnswerSet:
         answers = KnnAnswerSet(k)
-        leaf = self._leaf_for(query)
-        self._scan_leaf(leaf, query, answers, stats)
+        self._scan_leaves([self._leaf_for(query)], query, answers, stats)
         return answers
 
     def _query_stats_cache(self, query: np.ndarray):
@@ -446,7 +427,7 @@ class DsTreeIndex(SearchMethod):
     def _knn_exact(self, query: np.ndarray, k: int, stats: QueryStats) -> KnnAnswerSet:
         answers = self._make_answer_set(k)
         start_leaf = self._leaf_for(query)
-        self._scan_leaf(start_leaf, query, answers, stats)
+        self._scan_leaves([start_leaf], query, answers, stats)
 
         counter = itertools.count()
         heap: list[tuple[float, int, DsTreeNode]] = []
@@ -462,18 +443,12 @@ class DsTreeIndex(SearchMethod):
             push(self.root, 0.0)
         else:
             push(self.root, self.root.synopsis.lower_bound(query))
-        while heap:
-            bound, _, node = heapq.heappop(heap)
-            if bound * bound > answers.worst_squared_distance:
-                break
-            stats.nodes_visited += 1
-            if node.is_leaf:
-                if node is start_leaf:
-                    continue
-                self._scan_leaf(node, query, answers, stats)
-                continue
+
+        def expand(node: DsTreeNode) -> None:
             for child, child_bound in self._children_bounds(node, stats_for):
                 push(child, child_bound)
+
+        self._best_first(heap, expand, start_leaf, query, answers, stats)
         return answers
 
     def _range_exact(
@@ -486,24 +461,20 @@ class DsTreeIndex(SearchMethod):
         stats.lower_bounds_computed += 1
         if root_bound > radius:
             return answers
+        # The radius is fixed, so the leaves to scan are known before any read.
+        leaves = []
         stack = [self.root]
         while stack:
             node = stack.pop()
-            stats.nodes_visited += 1
             if node.is_leaf:
-                if node.size == 0:
-                    continue
-                positions = node.position_block()
-                block = self.store.read_block(positions)
-                distances = squared_euclidean_batch(query, block)
-                stats.series_examined += node.size
-                stats.leaves_visited += 1
-                answers.offer_batch(positions, distances)
+                leaves.append(node)
                 continue
+            stats.nodes_visited += 1
             for child, bound in self._children_bounds(node, stats_for):
                 stats.lower_bounds_computed += 1
                 if bound <= radius:
                     stack.append(child)
+        self._scan_leaves(leaves, query, answers, stats)
         return answers
 
     def describe(self) -> dict:

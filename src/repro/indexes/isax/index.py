@@ -24,7 +24,6 @@ import numpy as np
 
 from ...core.answers import KnnAnswerSet, RangeAnswerSet
 from ...core.buffer import BufferPool
-from ...core.distance import squared_euclidean_batch
 from ...core.soa import group_values
 from ...core.stats import QueryStats
 from ...core.storage import SeriesStore
@@ -320,19 +319,6 @@ class Isax2PlusIndex(SearchMethod):
             node = self._route(node, paa)
         return node
 
-    def _scan_leaf(
-        self, node: IsaxNode, query: np.ndarray, answers: KnnAnswerSet, stats: QueryStats
-    ) -> None:
-        if node.size == 0:
-            return
-        positions = node.position_block()
-        block = self.store.read_block(positions)
-        distances = squared_euclidean_batch(query, block)
-        answers.offer_batch(positions, distances)
-        stats.series_examined += node.size
-        stats.leaves_visited += 1
-        stats.nodes_visited += 1
-
     def _knn_approximate(
         self, query: np.ndarray, k: int, stats: QueryStats
     ) -> KnnAnswerSet:
@@ -340,7 +326,7 @@ class Isax2PlusIndex(SearchMethod):
         paa = self.summarizer.paa.transform(query)
         leaf = self._leaf_for(paa)
         if leaf is not None:
-            self._scan_leaf(leaf, query, answers, stats)
+            self._scan_leaves([leaf], query, answers, stats)
         return answers
 
     def _knn_exact(self, query: np.ndarray, k: int, stats: QueryStats) -> KnnAnswerSet:
@@ -349,7 +335,7 @@ class Isax2PlusIndex(SearchMethod):
         answers = self._make_answer_set(k)
         start_leaf = self._leaf_for(paa)
         if start_leaf is not None:
-            self._scan_leaf(start_leaf, query, answers, stats)
+            self._scan_leaves([start_leaf], query, answers, stats)
 
         # Step 2: bounded best-first traversal ordered by MINDIST.  All
         # children of a node are scored in one array-native batch call against
@@ -357,7 +343,7 @@ class Isax2PlusIndex(SearchMethod):
         counter = itertools.count()
         heap: list[tuple[float, int, IsaxNode]] = []
 
-        def push_children(parent: IsaxNode, prune: bool) -> None:
+        def push_children(parent: IsaxNode, prune: bool = True) -> None:
             if not parent.children:
                 return
             children, symbols, cardinalities = parent.child_arrays()
@@ -365,27 +351,24 @@ class Isax2PlusIndex(SearchMethod):
                 paa, symbols, cardinalities
             )
             stats.lower_bounds_computed += len(children)
-            threshold = answers.worst_squared_distance
-            for child, child_bound in zip(children, bounds):
+            if prune:
                 # Strict >: a node whose bound ties the k-th distance may still
                 # hold an equal-distance answer that wins the positional
                 # tie-break, so equality must not prune.
-                if prune and child_bound * child_bound > threshold:
-                    continue
-                heapq.heappush(heap, (float(child_bound), next(counter), child))
+                threshold = answers.worst_squared_distance
+                passing = np.flatnonzero(~(bounds * bounds > threshold))
+                children = [children[i] for i in passing]
+                bounds = bounds[passing]
+            entries = zip(bounds.tolist(), counter, children)
+            if heap:
+                for entry in entries:
+                    heapq.heappush(heap, entry)
+            else:  # the root's fan-out: thousands of children, one heapify
+                heap.extend(entries)
+                heapq.heapify(heap)
 
         push_children(self.root, prune=False)
-        while heap:
-            bound, _, node = heapq.heappop(heap)
-            if bound * bound > answers.worst_squared_distance:
-                break
-            stats.nodes_visited += 1
-            if node.is_leaf:
-                if node is start_leaf:
-                    continue
-                self._scan_leaf(node, query, answers, stats)
-                continue
-            push_children(node, prune=True)
+        self._best_first(heap, push_children, start_leaf, query, answers, stats)
         return answers
 
     def _range_exact(
@@ -405,21 +388,17 @@ class Isax2PlusIndex(SearchMethod):
             stats.lower_bounds_computed += len(children)
             return [c for c, b in zip(children, bounds) if b <= radius]
 
+        # The radius is fixed, so the leaves to scan are known before any read.
+        leaves = []
         stack = in_range_children(self.root)
         while stack:
             node = stack.pop()
-            stats.nodes_visited += 1
             if node.is_leaf:
-                if node.size == 0:
-                    continue
-                positions = node.position_block()
-                block = self.store.read_block(positions)
-                distances = squared_euclidean_batch(query, block)
-                stats.series_examined += node.size
-                stats.leaves_visited += 1
-                answers.offer_batch(positions, distances)
+                leaves.append(node)
                 continue
+            stats.nodes_visited += 1
             stack.extend(in_range_children(node))
+        self._scan_leaves(leaves, query, answers, stats)
         return answers
 
     def describe(self) -> dict:

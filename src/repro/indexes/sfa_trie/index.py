@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...core.answers import KnnAnswerSet
-from ...core.distance import squared_euclidean_batch
 from ...core.soa import GrowableArray, group_values, position_vector
 from ...core.stats import QueryStats
 from ...core.storage import SeriesStore
@@ -304,23 +303,6 @@ class SfaTrieIndex(SearchMethod):
             node = child
         return node
 
-    def _scan_leaf(
-        self,
-        node: SfaTrieNode,
-        query: np.ndarray,
-        answers: KnnAnswerSet,
-        stats: QueryStats,
-    ) -> None:
-        if node.size == 0:
-            return
-        positions = node.position_block()
-        block = self.store.read_block(positions)
-        distances = squared_euclidean_batch(query, block)
-        answers.offer_batch(positions, distances)
-        stats.series_examined += node.size
-        stats.leaves_visited += 1
-        stats.nodes_visited += 1
-
     def _knn_approximate(
         self, query: np.ndarray, k: int, stats: QueryStats
     ) -> KnnAnswerSet:
@@ -328,7 +310,7 @@ class SfaTrieIndex(SearchMethod):
         word = self.summarizer.transform(query)
         leaf = self._leaf_for(word)
         if leaf is not None:
-            self._scan_leaf(leaf, query, answers, stats)
+            self._scan_leaves([leaf], query, answers, stats)
         return answers
 
     def _knn_exact(self, query: np.ndarray, k: int, stats: QueryStats) -> KnnAnswerSet:
@@ -337,12 +319,12 @@ class SfaTrieIndex(SearchMethod):
         query_dft = self.summarizer.dft_of(query)
         start_leaf = self._leaf_for(word)
         if start_leaf is not None:
-            self._scan_leaf(start_leaf, query, answers, stats)
+            self._scan_leaves([start_leaf], query, answers, stats)
 
         counter = itertools.count()
         heap: list[tuple[float, int, SfaTrieNode]] = []
 
-        def push_children(parent: SfaTrieNode, prune: bool) -> None:
+        def push_children(parent: SfaTrieNode, prune: bool = True) -> None:
             if not parent.children:
                 return
             children, prefixes = parent.child_arrays()
@@ -356,17 +338,7 @@ class SfaTrieIndex(SearchMethod):
                 heapq.heappush(heap, (float(child_bound), next(counter), child))
 
         push_children(self.root, prune=False)
-        while heap:
-            bound, _, node = heapq.heappop(heap)
-            if bound * bound > answers.worst_squared_distance:
-                break
-            stats.nodes_visited += 1
-            if node.is_leaf:
-                if node is start_leaf:
-                    continue
-                self._scan_leaf(node, query, answers, stats)
-                continue
-            push_children(node, prune=True)
+        self._best_first(heap, push_children, start_leaf, query, answers, stats)
         return answers
 
     def describe(self) -> dict:

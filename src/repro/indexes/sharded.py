@@ -121,12 +121,16 @@ class SharedKnnAnswerSet(KnnAnswerSet):
 
 @dataclass
 class _Shard:
-    """One partition: its global offset, its store, and its inner method."""
+    """One partition: its global row range, its store, and its inner method."""
 
     index: int
     offset: int
     store: SeriesStore | None
     method: SearchMethod
+    #: rows the shard indexes, ``[offset, offset + rows)``: what a detached
+    #: shard (persistence drops the stores) is re-attached on.  Negative in
+    #: index files saved before the count was recorded.
+    rows: int = -1
     #: worker-cache key for process dispatch; ``None`` until first computed,
     #: reset whenever the shard's rows change (extend/repartition/re-attach).
     task_key: tuple | None = None
@@ -457,7 +461,7 @@ class ShardedMethod(SearchMethod):
             shard_store = self._shard_store(store, i, sl)
             method = create_method(self.inner_name, shard_store, **self.inner_params)
             shards.append(
-                _Shard(index=i, offset=sl.start, store=shard_store, method=method)
+                _Shard(i, sl.start, shard_store, method, rows=sl.stop - sl.start)
             )
         return shards
 
@@ -469,20 +473,27 @@ class ShardedMethod(SearchMethod):
 
     def _on_store_attached(self, store: SeriesStore | None) -> None:
         # Re-slice shard stores whenever the base store is (re-)attached —
-        # this is how a persisted sharded index reconnects to live data.
+        # this is how a persisted sharded index reconnects to live data.  The
+        # shards keep the row ranges they indexed: tail-routed extends leave
+        # them unbalanced, and rows past the indexed count stay unindexed
+        # until :meth:`extend` absorbs them.
         if store is None or not getattr(self, "_shards", None):
             return
-        slices = chunk_slices(store.count, len(self._shards))
-        if len(slices) != len(self._shards):
+        shards = self._shards
+        if shards[-1].rows < 0:  # an older index file: balanced slices, as it was attached then
+            for shard, sl in zip(shards, chunk_slices(store.count, len(shards))):
+                shard.offset, shard.rows = sl.start, sl.stop - sl.start
+        indexed = shards[-1].offset + shards[-1].rows
+        if indexed > store.count or any(shard.rows <= 0 for shard in shards):
             raise ValueError(
                 f"cannot attach a store with {store.count} rows to a sharded "
-                f"index built over {len(self._shards)} shards: re-slicing "
-                f"would leave {len(self._shards) - len(slices)} shard(s) "
-                "empty; rebuild the index over the new collection instead"
+                f"index built over {indexed} rows in {len(shards)} shards: "
+                "the shards past its end would be left empty or stale; rebuild "
+                "the index over the new collection instead"
             )
         self._invalidate_process_state()
-        for shard, sl in zip(self._shards, slices):
-            shard.offset = sl.start
+        for shard in shards:
+            sl = slice(shard.offset, shard.offset + shard.rows)
             shard.store = self._shard_store(store, shard.index, sl)
             shard.method.store = shard.store
             shard.task_key = None
@@ -631,6 +642,7 @@ class ShardedMethod(SearchMethod):
             self.store, tail.index, slice(tail.offset, stop)
         )
         tail.method.store = tail.store
+        tail.rows = stop - tail.offset
         tail.method.extend(local_old, stop - tail.offset)
         tail.task_key = None  # the tail's rows changed: new worker-cache key
         self._invalidate_process_state()

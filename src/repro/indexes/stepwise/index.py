@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from ...core.answers import KnnAnswerSet
-from ...core.distance import squared_euclidean_batch
 from ...core.stats import QueryStats
 from ...core.storage import SeriesStore
 from ...summarization.dhwt import DhwtSummarizer, haar_transform, level_slices
@@ -118,28 +117,10 @@ class StepwiseIndex(SearchMethod):
                 candidates = candidates[keep]
 
         # Final refinement on the raw data for the surviving candidates.
-        candidates = np.sort(candidates)
-        for start, stop in _contiguous_runs(candidates):
-            block = self.store.read_contiguous(int(start), int(stop))
-            positions = np.arange(start, stop)
-            distances = squared_euclidean_batch(query, block)
-            answers.offer_batch(positions, distances)
-            stats.series_examined += int(stop - start)
+        self._scan_runs(np.sort(candidates), query, answers, stats)
         return answers
 
     def describe(self) -> dict:
         info = super().describe()
         info["levels_per_step"] = self.levels_per_step
         return info
-
-
-def _contiguous_runs(positions: np.ndarray):
-    """Yield (start, stop) pairs covering consecutive runs in sorted positions."""
-    if positions.size == 0:
-        return
-    breaks = np.flatnonzero(np.diff(positions) > 1)
-    start_idx = 0
-    for b in breaks:
-        yield positions[start_idx], positions[b] + 1
-        start_idx = b + 1
-    yield positions[start_idx], positions[-1] + 1

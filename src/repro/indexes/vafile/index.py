@@ -111,33 +111,24 @@ class VaPlusFileIndex(SearchMethod):
         bounds = self.summarizer.lower_bound_batch(query_dft, self._cells)
         stats.lower_bounds_computed += bounds.shape[0]
         order = np.argsort(bounds, kind="stable")
+        squared = bounds[order]
+        squared *= squared
 
-        # Phase 2: refinement in lower-bound order with early termination.
-        # Strict >: a candidate whose bound ties the k-th distance may still
-        # win the positional tie-break, so equality must not terminate.
+        # Phase 2: refinement in lower-bound order with early termination, a
+        # batch of at most ``refinement_batch`` candidates per look at the
+        # best-so-far.  ``side="right"``: a candidate whose bound ties the
+        # k-th distance may still win the positional tie-break, so equality
+        # must neither terminate the scan nor cut a batch short.
         cursor = 0
-        total = order.shape[0]
-        while cursor < total:
-            threshold = answers.worst_squared_distance
-            bound = bounds[order[cursor]]
-            if bound * bound > threshold:
+        while True:
+            passing = int(
+                np.searchsorted(squared, answers.worst_squared_distance, side="right")
+            )
+            stop = min(cursor + self.refinement_batch, passing)
+            if stop <= cursor:
                 break
-            batch = [int(order[cursor])]
-            cursor += 1
-            while (
-                cursor < total
-                and len(batch) < self.refinement_batch
-                and bounds[order[cursor]] ** 2 <= threshold
-            ):
-                batch.append(int(order[cursor]))
-                cursor += 1
-            batch_positions = np.sort(np.asarray(batch))
-            for start, stop in _contiguous_runs(batch_positions):
-                block = self.store.read_contiguous(int(start), int(stop))
-                positions = np.arange(start, stop)
-                distances = squared_euclidean_batch(query, block)
-                answers.offer_batch(positions, distances)
-                stats.series_examined += int(stop - start)
+            self._scan_runs(np.sort(order[cursor:stop]), query, answers, stats)
+            cursor = stop
         return answers
 
     def _range_exact(
@@ -148,13 +139,7 @@ class VaPlusFileIndex(SearchMethod):
         query_dft = self.summarizer.dft_of(query)
         bounds = self.summarizer.lower_bound_batch(query_dft, self._cells)
         stats.lower_bounds_computed += bounds.shape[0]
-        survivors = np.sort(np.flatnonzero(bounds <= radius))
-        for start, stop in _contiguous_runs(survivors):
-            block = self.store.read_contiguous(int(start), int(stop))
-            distances = squared_euclidean_batch(query, block)
-            stats.series_examined += int(stop - start)
-            for offset, sq in enumerate(distances):
-                answers.offer(int(start) + offset, float(sq))
+        self._scan_runs(np.flatnonzero(bounds <= radius), query, answers, stats)
         return answers
 
     def describe(self) -> dict:
@@ -164,15 +149,3 @@ class VaPlusFileIndex(SearchMethod):
             bits_per_dimension=self.bits_per_dimension,
         )
         return info
-
-
-def _contiguous_runs(positions: np.ndarray):
-    """Yield (start, stop) pairs covering consecutive runs in sorted positions."""
-    if positions.size == 0:
-        return
-    breaks = np.flatnonzero(np.diff(positions) > 1)
-    start_idx = 0
-    for b in breaks:
-        yield positions[start_idx], positions[b] + 1
-        start_idx = b + 1
-    yield positions[start_idx], positions[-1] + 1

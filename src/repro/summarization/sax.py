@@ -430,17 +430,23 @@ class IsaxSummarizer(Summarizer):
             syms = syms.astype(np.int64)
         if syms.ndim == 1:
             syms = syms[np.newaxis, :]
+        # A cell's contribution depends on (segment, symbol) only: tabulate the
+        # squared gap of every cell of every segment once per query — the
+        # classic VA-file lookup table — then gather one entry per candidate
+        # cell and sum each row.
+        cells = np.arange(self.cardinality)[np.newaxis, :]
         breakpoints = sax_breakpoints(self.cardinality)
-        # region bounds per candidate cell
-        low = np.where(syms == 0, -np.inf, breakpoints[np.clip(syms - 1, 0, None)])
+        low = np.where(cells == 0, -np.inf, breakpoints[np.clip(cells - 1, 0, None)])
         high = np.where(
-            syms == self.cardinality - 1,
+            cells == self.cardinality - 1,
             np.inf,
-            breakpoints[np.clip(syms, 0, len(breakpoints) - 1)],
+            breakpoints[np.clip(cells, 0, len(breakpoints) - 1)],
         )
-        below = np.clip(low - q[np.newaxis, :], 0.0, None)
-        above = np.clip(q[np.newaxis, :] - high, 0.0, None)
+        below = np.clip(low - q[:, np.newaxis], 0.0, None)
+        above = np.clip(q[:, np.newaxis] - high, 0.0, None)
         gap = np.where(np.isfinite(below), below, 0.0) + np.where(
             np.isfinite(above), above, 0.0
         )
-        return np.sqrt(self._segment_width * np.sum(gap * gap, axis=1))
+        table = (gap * gap).ravel()  # segment j's cells start at j * cardinality
+        picked = table[syms + np.arange(self.segments) * self.cardinality]
+        return np.sqrt(self._segment_width * np.sum(picked, axis=1))

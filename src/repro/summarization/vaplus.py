@@ -220,20 +220,22 @@ class VaPlusSummarizer(Summarizer):
         cells = np.asarray(candidate_summaries, dtype=np.int64)
         if cells.ndim == 1:
             cells = cells[np.newaxis, :]
-        gaps = np.zeros_like(cells, dtype=np.float64)
-        for j, quantizer in enumerate(quantizers):
-            if quantizer.bits == 0:
-                continue
-            padded = np.empty(quantizer.levels + 1, dtype=np.float64)
-            padded[0] = -np.inf
-            padded[-1] = np.inf
-            padded[1:-1] = quantizer.boundaries
-            low = padded[cells[:, j]]
-            high = padded[cells[:, j] + 1]
-            below = np.clip(low - q[j], 0.0, None)
-            above = np.clip(q[j] - high, 0.0, None)
-            below = np.where(np.isfinite(below), below, 0.0)
-            above = np.where(np.isfinite(above), above, 0.0)
-            gaps[:, j] = below + above
-        weights = self.dft._weights
-        return np.sqrt(np.sum(weights[np.newaxis, :] * gaps * gaps, axis=1))
+        # A cell's contribution depends on (dimension, cell) only: tabulate the
+        # weighted squared gap of every cell of every dimension once per query
+        # (the VA-file lookup table; dimension j's cells start at offsets[j]),
+        # then gather one entry per candidate cell and sum each row.  A
+        # zero-bit dimension has the single unbounded cell 0: gap 0.
+        edges = [
+            np.concatenate(([-np.inf], quantizer.boundaries, [np.inf]))
+            for quantizer in quantizers
+        ]
+        levels = np.array([edge.size - 1 for edge in edges])
+        offsets = np.cumsum(levels) - levels
+        value = np.repeat(q, levels)
+        below = np.clip(np.concatenate([edge[:-1] for edge in edges]) - value, 0.0, None)
+        above = np.clip(value - np.concatenate([edge[1:] for edge in edges]), 0.0, None)
+        gap = np.where(np.isfinite(below), below, 0.0) + np.where(
+            np.isfinite(above), above, 0.0
+        )
+        table = np.repeat(self.dft._weights, levels) * gap * gap
+        return np.sqrt(np.sum(table[cells + offsets], axis=1))

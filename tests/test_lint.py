@@ -349,6 +349,25 @@ def test_counter_conservation_accepts_accounting_delegation_and_peek():
     assert clean == []
 
 
+def test_counter_conservation_covers_the_group_read_primitive():
+    findings, _ = lint(
+        """
+        class SeriesStore:
+            def read_groups(self, positions, sizes):
+                return self.backend.take(positions)
+
+            def read_block(self, positions):
+                return self.read_groups(positions, [len(positions)])
+
+            def __getstate__(self):
+                return {}
+        """,
+        "repro/core/storage.py",
+    )
+    # read_block delegates to an accounted primitive; read_groups itself must charge.
+    assert [f.message.split("()")[0].split()[-1] for f in findings] == ["read_groups"]
+
+
 def test_counter_conservation_scoped_to_storage_module():
     elsewhere, _ = lint(
         """

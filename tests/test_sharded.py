@@ -398,6 +398,49 @@ class TestShardedConfiguration:
         # The live instance keeps working after the save detach/re-attach.
         assert_identical(expected, sharded.knn_exact(KnnQuery(series=queries[0], k=5)))
 
+    def test_persistence_after_tail_routed_extends(self, tie_dataset, queries, tmp_path):
+        """Save -> reopen -> query on a growable store whose index took extends.
+
+        Tail routing leaves the shards unbalanced, so re-attaching must use the
+        row ranges the shards indexed, not balanced slices of the new count.
+        """
+        values = tie_dataset.values
+        base = Dataset(values=values[:90].copy(), name="grown")
+        store = SeriesStore(base.to_growable(tmp_path / "store"))
+        sharded = create_method(
+            "sharded:isax2+", store, shards=SHARDS, workers=1, leaf_capacity=10,
+            repartition_factor=None,
+        )
+        sharded.build()
+        for start in range(90, values.shape[0], 25):
+            old = store.count
+            store.extend(values[start : start + 25])
+            sharded.extend(old)
+        ranges = [(shard.offset, shard.rows) for shard in sharded._shards]
+        assert ranges[-1][1] > ranges[0][1]  # the tail grew: no longer balanced
+        expected = [sharded.knn_exact(KnnQuery(series=q, k=5)) for q in queries]
+        path = tmp_path / "grown.idx"
+        save_method(sharded, path)
+        # The live instance re-attaches on the same ranges after the save.
+        assert [(s.offset, s.rows) for s in sharded._shards] == ranges
+        assert_identical(expected[0], sharded.knn_exact(KnnQuery(series=queries[0], k=5)))
+        sharded.close()
+        store.backend.close()
+
+        reopened = Dataset.from_file(tmp_path / "store", length=values.shape[1])
+        try:
+            loaded = load_method(path, dataset=reopened)
+            assert [(s.offset, s.rows) for s in loaded._shards] == ranges
+            for query, want in zip(queries, expected):
+                assert_identical(want, loaded.knn_exact(KnnQuery(series=query, k=5)))
+            plain = create_method(
+                "isax2+", SeriesStore(Dataset(values=values.copy())), leaf_capacity=10
+            )
+            plain.build()
+            assert_identical(plain.knn_exact(KnnQuery(series=queries[0], k=5)), expected[0])
+        finally:
+            reopened.backend.close()
+
 
 class TestEngineAndRunnerWorkers:
     def test_engine_search_batch_workers_identical(self, tie_dataset, queries):

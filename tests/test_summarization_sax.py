@@ -140,3 +140,41 @@ class TestIsaxSummarizer:
         assert summarizer.mindist_paa_to_word(q_paa, coarse) <= (
             summarizer.mindist_paa_to_word(q_paa, fine) + 1e-9
         )
+
+
+def _lower_bound_batch_expressions(summarizer, query_paa, symbols):
+    """``IsaxSummarizer.lower_bound_batch`` before it became table-driven: the
+    same per-cell expressions evaluated for every candidate cell (reference)."""
+    q = np.asarray(query_paa, dtype=np.float64)
+    syms = np.asarray(symbols)
+    breakpoints = sax_breakpoints(summarizer.cardinality)
+    low = np.where(syms == 0, -np.inf, breakpoints[np.clip(syms - 1, 0, None)])
+    high = np.where(
+        syms == summarizer.cardinality - 1,
+        np.inf,
+        breakpoints[np.clip(syms, 0, len(breakpoints) - 1)],
+    )
+    below = np.clip(low - q[np.newaxis, :], 0.0, None)
+    above = np.clip(q[np.newaxis, :] - high, 0.0, None)
+    gap = np.where(np.isfinite(below), below, 0.0) + np.where(np.isfinite(above), above, 0.0)
+    return np.sqrt(summarizer._segment_width * np.sum(gap * gap, axis=1))
+
+
+class TestTableDrivenLowerBound:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_the_per_cell_expressions(self, data):
+        cardinality = data.draw(st.sampled_from([2, 4, 16, 256]))
+        segments = data.draw(st.sampled_from([1, 4, 8, 16]))
+        summarizer = IsaxSummarizer(segments * 4, segments, cardinality)
+        query_paa = data.draw(
+            hnp.arrays(np.float64, segments, elements=st.floats(-4, 4, allow_nan=False))
+        )
+        rows = data.draw(st.integers(1, 40))
+        # the edge symbols 0 and cardinality - 1 (unbounded cells) are over-represented
+        symbol = st.one_of(st.sampled_from([0, cardinality - 1]), st.integers(0, cardinality - 1))
+        symbols = data.draw(hnp.arrays(np.int16, (rows, segments), elements=symbol))
+        got = summarizer.lower_bound_batch(query_paa, symbols)
+        want = _lower_bound_batch_expressions(summarizer, query_paa, symbols)
+        assert got.tobytes() == want.tobytes()
+        assert got[0] == pytest.approx(summarizer.lower_bound(query_paa, symbols[0]), abs=1e-9)

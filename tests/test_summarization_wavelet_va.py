@@ -189,3 +189,60 @@ class TestVaPlus:
         a, b = rng.standard_normal(32), rng.standard_normal(32)
         bound = summarizer.lower_bound(summarizer.dft_of(a), summarizer.transform(b))
         assert bound <= euclidean(a, b) + 1e-6
+
+
+def _lower_bound_batch_expressions(summarizer, query_dft, cells):
+    """``VaPlusSummarizer.lower_bound_batch`` before it became table-driven: the
+    same per-cell expressions evaluated for every candidate cell (reference)."""
+    q = np.asarray(query_dft, dtype=np.float64)
+    cells = np.asarray(cells, dtype=np.int64)
+    gaps = np.zeros_like(cells, dtype=np.float64)
+    for j, quantizer in enumerate(summarizer.quantizers):
+        if quantizer.bits == 0:
+            continue
+        padded = np.empty(quantizer.levels + 1, dtype=np.float64)
+        padded[0] = -np.inf
+        padded[-1] = np.inf
+        padded[1:-1] = quantizer.boundaries
+        below = np.clip(padded[cells[:, j]] - q[j], 0.0, None)
+        above = np.clip(q[j] - padded[cells[:, j] + 1], 0.0, None)
+        below = np.where(np.isfinite(below), below, 0.0)
+        above = np.where(np.isfinite(above), above, 0.0)
+        gaps[:, j] = below + above
+    weights = summarizer.dft._weights
+    return np.sqrt(np.sum(weights[np.newaxis, :] * gaps * gaps, axis=1))
+
+
+class TestTableDrivenLowerBound:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_the_per_cell_expressions(self, data):
+        seed = data.draw(st.integers(0, 2**16))
+        bits = data.draw(st.sampled_from([1, 2, 4]))
+        rng = np.random.default_rng(seed)
+        # a smooth sample concentrates the energy in few DFT dimensions, so the
+        # water-filling leaves others with zero bits (one unbounded cell)
+        sample = np.cumsum(rng.standard_normal((64, 32)), axis=1)
+        sample[:, 16:] = sample[:, 15:16]
+        summarizer = VaPlusSummarizer(32, coefficients=8, bits_per_dimension=bits).fit(sample)
+        cells = summarizer.transform_batch(
+            np.cumsum(rng.standard_normal((data.draw(st.integers(1, 30)), 32)), axis=1) * 3
+        )
+        # force the edge cells 0 and levels - 1 into the first two rows
+        levels = np.array([q.levels for q in summarizer.quantizers])
+        cells = np.vstack([np.zeros_like(levels), levels - 1, cells])
+        query_dft = summarizer.dft_of(np.cumsum(rng.standard_normal(32)))
+        got = summarizer.lower_bound_batch(query_dft, cells)
+        want = _lower_bound_batch_expressions(summarizer, query_dft, cells)
+        assert got.tobytes() == want.tobytes()
+        assert got[2] == pytest.approx(summarizer.lower_bound(query_dft, cells[2]), abs=1e-9)
+
+    def test_zero_bit_dimensions_contribute_nothing(self):
+        rng = np.random.default_rng(5)
+        sample = np.cumsum(rng.standard_normal((64, 32)), axis=1)
+        summarizer = VaPlusSummarizer(32, coefficients=8, bits_per_dimension=1).fit(sample)
+        assert (summarizer.bit_allocation == 0).any()
+        cells = summarizer.transform_batch(sample)
+        query_dft = summarizer.dft_of(sample[3] + 0.5)
+        got = summarizer.lower_bound_batch(query_dft, cells)
+        assert got.tobytes() == _lower_bound_batch_expressions(summarizer, query_dft, cells).tobytes()
