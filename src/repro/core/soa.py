@@ -12,8 +12,8 @@ payloads structure-of-arrays style means
 * bulk loading can adopt whole position blocks in a single ``memcpy``-style
   extend.
 
-The incremental insert path keeps working through :meth:`GrowableArray.append`
-with O(1) amortized cost.
+Single rows still land through :meth:`GrowableArray.append` with O(1)
+amortized cost.
 """
 
 from __future__ import annotations

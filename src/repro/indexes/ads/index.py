@@ -18,7 +18,7 @@ import numpy as np
 from ...core.answers import KnnAnswerSet
 from ...core.stats import QueryStats
 from ...core.storage import SeriesStore
-from ...summarization.sax import IsaxSummarizer, summarize_stream
+from ...summarization.sax import IsaxSummarizer, summarize_stream, symbolize_batch
 from ..base import SearchMethod
 from .tree import AdsTree
 
@@ -89,28 +89,21 @@ class AdsPlusIndex(SearchMethod):
     def _incremental_build(self) -> None:
         self._summarize_collection()
         for position in range(self.store.count):
-            self.tree.insert(position, self._paa[position])
+            self.tree.insert_block(position, self._paa[position : position + 1])
 
-    def append(self, position: int) -> None:
-        """Insert one more series from the store into the built index.
-
-        Recomputes the series' summaries, grows the full-resolution summary
-        matrices SIMS scans (an O(n) array append — batch appends should
-        prefer a rebuild), and routes the series through the retained
-        per-series tree insert.
-        """
-        self._require_built()
-        if position != self._paa.shape[0]:
+    def _insert_block(self, start: int, block: np.ndarray) -> None:
+        """Summarize the new rows once, grow the full-resolution summary
+        matrices SIMS scans by the whole block, and route it into the tree."""
+        if start != self._paa.shape[0]:
             raise ValueError(
                 f"appends must be contiguous: expected position "
-                f"{self._paa.shape[0]}, got {position}"
+                f"{self._paa.shape[0]}, got {start}"
             )
-        series = np.asarray(self.store.peek(position), dtype=np.float64)
-        paa = self.summarizer.paa.transform(series)
-        symbols = self.summarizer.transform(series)
-        self._paa = np.vstack([self._paa, paa[np.newaxis, :]])
-        self._symbols = np.vstack([self._symbols, symbols[np.newaxis, :]])
-        self.tree.insert(position, self._paa[position])
+        paa = self.summarizer.paa.transform_batch(block)
+        symbols = symbolize_batch(paa, self.cardinality).astype(self._symbols.dtype)
+        self._paa = np.vstack([self._paa, paa])
+        self._symbols = np.vstack([self._symbols, symbols])
+        self.tree.insert_block(start, paa)
 
     def _collect_footprint(self) -> None:
         leaves = self.tree.leaves()

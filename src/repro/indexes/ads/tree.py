@@ -5,8 +5,8 @@ positions of their series but never the raw data (ADS+ materializes raw leaves
 lazily, and its SIMS exact algorithm bypasses leaf materialization entirely by
 scanning the raw file skip-sequentially).  ``bulk_insert`` partitions the whole
 summary matrix with array operations — one vectorized root symbolization plus
-a lexsort-based grouping — while ``insert`` keeps the per-series path for
-appends after the initial load.
+a lexsort-based grouping — while ``insert_block`` routes the rows appended
+after the initial load, one descent per block.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from ...summarization.sax import (
     group_root_words,
     symbolize_batch,
 )
-from ..isax.node import IsaxNode
+from ..base import route_batch
+from ..isax.node import IsaxNode, child_groups, leaf_for
 
 __all__ = ["AdsTree"]
 
@@ -61,37 +62,20 @@ class AdsTree:
             if child.size > self.leaf_capacity:
                 self._split_leaf(child)
 
-    def insert(self, position: int, paa: np.ndarray) -> None:
-        key = self._root_key(paa)
-        child = self.root.children.get(key)
-        if child is None:
-            word = SaxWord(symbols=key, cardinalities=tuple([2] * self.segments))
-            child = IsaxNode(word=word, depth=1, is_leaf=True, parent=self.root)
-            self.root.children[key] = child
-        node = child
-        while not node.is_leaf:
-            node = self._route(node, paa)
-        node.add(position, paa)
-        if node.size > self.leaf_capacity:
-            self._split_leaf(node)
+    def insert_block(self, start: int, paa: np.ndarray) -> None:
+        """Insert summarized rows (positions ``start``...) in one descent,
+        leaving the tree that inserting them one by one would leave."""
+        positions = np.arange(start, start + paa.shape[0], dtype=np.int64)
 
-    def _root_key(self, paa: np.ndarray) -> tuple:
-        word = self.summarizer.word_from_paa(paa, tuple([2] * self.segments))
-        return word.symbols
+        def descend(node: IsaxNode, rows: np.ndarray):
+            return child_groups(node, rows, paa, self.summarizer)
 
-    def _route(self, node: IsaxNode, paa: np.ndarray) -> IsaxNode:
-        segment = node.split_segment
-        word = node.word.promote(segment, float(paa[segment]))
-        child = node.children.get(word.symbols)
-        if child is None:
-            child = self._closest_child(node, paa)
-        return child
+        def deliver(leaf: IsaxNode, rows: np.ndarray) -> None:
+            leaf.add_block(positions[rows], paa[rows])
+            if leaf.size > self.leaf_capacity:
+                self._split_leaf(leaf)
 
-    def _closest_child(self, node: IsaxNode, paa: np.ndarray) -> IsaxNode:
-        """The child with the smallest MINDIST, scored in one batch call."""
-        children, symbols, cardinalities = node.child_arrays()
-        bounds = self.summarizer.mindist_paa_to_words_batch(paa, symbols, cardinalities)
-        return children[int(np.argmin(bounds))]
+        route_batch(self.root, paa.shape[0], self.leaf_capacity, descend, deliver)
 
     def _split_leaf(self, node: IsaxNode) -> None:
         """Redistribute an overflowing leaf one cardinality level deeper.
@@ -138,15 +122,7 @@ class AdsTree:
 
     # -- navigation ----------------------------------------------------------------
     def leaf_for(self, paa: np.ndarray) -> IsaxNode | None:
-        key = self._root_key(paa)
-        node = self.root.children.get(key)
-        if node is None:
-            if not self.root.children:
-                return None
-            node = self._closest_child(self.root, paa)
-        while not node.is_leaf:
-            node = self._route(node, paa)
-        return node
+        return leaf_for(self.root, paa, self.summarizer)
 
     def leaves(self) -> list[IsaxNode]:
         out = []

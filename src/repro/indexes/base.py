@@ -25,7 +25,32 @@ from ..core.series import SERIES_DTYPE
 from ..core.stats import AccessCounter, IndexStats, QueryStats
 from ..core.storage import SeriesStore
 
-__all__ = ["SearchMethod", "SearchResult", "RangeSearchResult"]
+__all__ = ["SearchMethod", "SearchResult", "RangeSearchResult", "route_batch"]
+
+
+def route_batch(root, count: int, leaf_capacity: int, descend, deliver) -> None:
+    """Route rows ``0..count-1`` of a summarized batch down a tree, one visit
+    per node, leaving exactly the tree that inserting them one by one leaves.
+
+    ``descend(node, rows)`` returns an internal node's ``(child, rows)``
+    groups (``rows`` are ascending batch indices, i.e. arrival order);
+    ``deliver(leaf, rows)`` stores rows in a leaf and splits it if that
+    overflows it.  A leaf is only ever handed rows up to one past its
+    capacity — the row whose arrival splits it on the per-row path — and the
+    rest of its group then continues through the children the split made.  A
+    leaf its split had to leave whole is fed one row at a time, so the split
+    is re-attempted after each, as it is per row.
+    """
+    pending = [(root, np.arange(count))]
+    while pending:
+        node, rows = pending.pop()
+        if not node.is_leaf:
+            pending.extend(descend(node, rows))
+            continue
+        room = max(1, leaf_capacity + 1 - node.size)
+        deliver(node, rows[:room])
+        if rows.size > room:
+            pending.append((node, rows[room:]))
 
 
 class SearchResult:
@@ -210,23 +235,19 @@ class SearchMethod(abc.ABC):
         raise NotImplementedError(f"{self.name} does not implement construction")
 
     def append(self, position: int) -> None:
-        """Insert one more series from the store into a *built* index.
-
-        Bulk loading covers the initial collection; methods that maintain an
-        incremental insert path expose it here so series appended to the store
-        after construction become searchable without a rebuild.
-        """
-        raise NotImplementedError(f"{self.name} does not support appends")
+        """Insert one more series from the store: the one-row :meth:`extend`."""
+        self.extend(int(position), int(position) + 1)
 
     def extend(self, start: int, stop: int | None = None) -> int:
-        """Bulk-insert store rows ``[start, stop)`` into a *built* index.
+        """Insert store rows ``[start, stop)`` into a *built* index.
 
-        The live-ingest companion of :meth:`append`: after
-        ``store.extend(rows)`` lands new rows, ``method.extend(old_count)``
-        makes them searchable without a rebuild.  ``stop`` defaults to the
-        store's current count.  The base implementation loops
-        :meth:`append`; tree families override it with a batch-summarize +
-        bulk-insert path.  Returns the number of rows inserted.
+        The live-ingest path: after ``store.extend(rows)`` lands new rows,
+        ``method.extend(old_count)`` makes them searchable without a rebuild.
+        ``stop`` defaults to the store's current count.  The rows arrive in
+        RSS-bounded float64 blocks at :meth:`_insert_block`, which the methods
+        that maintain an insert path implement; however a range is cut into
+        calls, the index is the one per-row inserts would have produced.
+        Returns the number of rows inserted.
         """
         self._require_built()
         start = int(start)
@@ -236,9 +257,19 @@ class SearchMethod(abc.ABC):
                 f"extend range [{start}, {stop}) out of bounds for "
                 f"{self.store.count} rows"
             )
-        for position in range(start, stop):
-            self.append(position)
+        # build_chunk_rows=None means "store default" for scans; here any
+        # RSS-bounded block size works, so fall back to a few thousand rows.
+        chunk_rows = self.build_chunk_rows or 4096
+        for block_start in range(start, stop, chunk_rows):
+            rows = slice(block_start, min(stop, block_start + chunk_rows))
+            self._insert_block(
+                block_start, np.asarray(self.store.peek(rows), dtype=np.float64)
+            )
         return stop - start
+
+    def _insert_block(self, start: int, block: np.ndarray) -> None:
+        """Insert the float64 rows ``block`` (store positions ``start``...)."""
+        raise NotImplementedError(f"{self.name} does not support appends")
 
     def _collect_footprint(self) -> None:
         """Populate node counts / sizes in :attr:`index_stats` (optional)."""

@@ -8,8 +8,9 @@ segment's mean or standard deviation, and vertical splits that first refine
 the segmentation — scored from vectorized per-segment statistics over the full
 candidate block; the policy with the best expected separation wins (the
 heuristic role played by the upper/lower bound based quality measure in the
-original paper).  The per-series insert path is retained (``append``) for
-series added after the initial load.  Query answering uses the node synopsis
+original paper).  Series added after the initial load are routed a batch at
+a time (``extend``): one descent per batch, the tree that inserting them one
+by one would leave.  Query answering uses the node synopsis
 lower bound to prune subtrees, giving the paper's observed behaviour:
 expensive (CPU-heavy) index construction, very fast queries.
 """
@@ -26,14 +27,13 @@ from ...core.buffer import BufferPool
 from ...core.stats import QueryStats
 from ...core.storage import SeriesStore
 from ...summarization.eapca import (
-    NodeSynopsis,
     batch_segment_statistics,
     query_segment_stats,
     synopses_lower_bounds,
     synopsis_from_statistics,
     synopsis_from_stream,
 )
-from ..base import SearchMethod
+from ..base import SearchMethod, route_batch
 from .node import DsTreeNode, SplitPolicy
 
 __all__ = ["DsTreeIndex"]
@@ -111,7 +111,7 @@ class DsTreeIndex(SearchMethod):
         data = self.store.scan()
         self._buffer = self._make_buffer()
         for position in range(self.store.count):
-            self._insert(position, data[position].astype(np.float64))
+            self._route_block(position, data[position : position + 1].astype(np.float64))
         self._buffer.flush_all()
 
     def _bulk_build(self) -> None:
@@ -136,45 +136,72 @@ class DsTreeIndex(SearchMethod):
             self._split_leaf(root)
         self._buffer.flush_all()
 
-    def _insert(self, position: int, series: np.ndarray) -> None:
-        node = self.root
-        while not node.is_leaf:
-            if node.synopsis is None:
-                node.synopsis = NodeSynopsis.from_series(series, node.boundaries)
-            else:
-                node.synopsis.update(series)
-            # The child synopsis about to be updated is stacked inside this
-            # node's cached bound matrices; queries interleaved with appends
-            # must not prune against the stale (tighter) ranges.
-            node._child_bound_cache = None
-            node = node.route(series)
-        if node.synopsis is None:
-            node.synopsis = NodeSynopsis.from_series(series, node.boundaries)
-        else:
-            node.synopsis.update(series)
-        node.positions.append(position)
-        self._buffer.add(id(node))
-        if node.size > self.leaf_capacity:
-            self._split_leaf(node)
-
-    def append(self, position: int) -> None:
-        """Insert one more series from the store into the built index.
-
-        This is the retained incremental path: bulk loading covers the initial
-        collection, appends route through the same per-series machinery and
-        keep the tree query-equivalent.
-        """
-        self._require_built()
+    def _insert_block(self, start: int, block: np.ndarray) -> None:
         if self._buffer is None or self._buffer.counter is not self.store.counter:
             # Rebuild the pool when the store was re-attached (persistence
             # reload, grown collection) so spill I/O lands on the live counter.
             self._buffer = self._make_buffer()
-        series = np.asarray(self.store.peek(position), dtype=np.float64)
-        self._insert(position, series)
-        # Appends settle immediately: unlike a build there is no later
-        # flush_all, so leaving the series buffered would accumulate phantom
-        # in-memory state (and eventually spurious spill accounting).
-        self._buffer.flush_all()
+        self._route_block(start, block)
+
+    def _route_block(self, start: int, block: np.ndarray) -> None:
+        """Insert ``block`` (store positions ``start``...) in one descent.
+
+        The block's per-row statistics are computed once per distinct segment
+        the descent meets and assembled once per distinct segmentation; every
+        node on the way folds its group's ranges into its synopsis once and
+        splits the group on its policy column with one mask.
+        """
+        positions = np.arange(start, start + block.shape[0], dtype=np.int64)
+        cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        spans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+        def statistics(boundaries: np.ndarray):
+            key = boundaries.tobytes()
+            if key not in cache:
+                # Segmentations refine one another a segment at a time, so
+                # most of a new one's columns were computed for an earlier one.
+                edges = boundaries.tolist()
+                columns = []
+                for span in zip(edges, edges[1:]):
+                    if span not in spans:
+                        spans[span] = batch_segment_statistics(block, span)
+                    columns.append(spans[span])
+                cache[key] = tuple(np.hstack(part) for part in zip(*columns))
+            return cache[key]
+
+        def fold(node: DsTreeNode, rows: np.ndarray) -> None:
+            means, stds = (part[rows] for part in statistics(node.boundaries))
+            if node.synopsis is None:
+                node.synopsis = synopsis_from_statistics(node.boundaries, means, stds)
+            else:
+                node.synopsis.fold(means, stds)
+
+        def descend(node: DsTreeNode, rows: np.ndarray):
+            fold(node, rows)
+            # The child synopses about to widen are stacked inside this
+            # node's cached bound matrices; queries interleaved with inserts
+            # must not prune against the stale (tighter) ranges.
+            node._child_bound_cache = None
+            policy = node.policy
+            means, stds = statistics(node.left.boundaries)
+            values = (means if policy.kind == "mean" else stds)[rows, policy.segment]
+            left = values <= policy.threshold
+            groups = ((node.left, rows[left]), (node.right, rows[~left]))
+            return [group for group in groups if group[1].size]
+
+        def deliver(leaf: DsTreeNode, rows: np.ndarray) -> None:
+            fold(leaf, rows)
+            leaf.positions.extend(positions[rows])
+            self._buffer.add(id(leaf))
+            if leaf.size > self.leaf_capacity:
+                self._split_leaf(leaf)
+            if self._built:
+                # Rows arriving after the build settle at once — there is no
+                # later flush_all, so only the row that overflows a leaf is
+                # ever in flight (and spill accounting is the per-row one).
+                self._buffer.flush_all()
+
+        route_batch(self.root, block.shape[0], self.leaf_capacity, descend, deliver)
 
     # -- splitting ----------------------------------------------------------------------
     def _vertical_candidates(self, boundaries: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -309,7 +336,7 @@ class DsTreeIndex(SearchMethod):
         synopses assembled from the already-streamed columns (horizontal
         splits) or from one more chunked pass at the refined segmentation
         (vertical splits).  The raw rows are never held whole; the bulk
-        loader and the incremental insert path both funnel splits through
+        loader and the batch insert router both funnel splits through
         here, and the result is bitwise identical to the historical
         materialize-the-block path.
         """

@@ -8,8 +8,9 @@ is bulk-loaded by default, mirroring iSAX2+'s defining contribution: all SAX
 words are computed in one batch transform, positions are partitioned per root
 word with one ``np.lexsort``, and overflowing leaves re-symbolize only the
 split segment at doubled cardinality over whole position blocks — no per-series
-Python inserts.  The per-series ``_insert`` path is retained (``append``) for
-series added after the initial load.  Query answering follows the protocol in
+Python inserts.  Series added after the initial load are routed a batch at a
+time (``extend``): one descent per batch, the tree that inserting them one by
+one would leave.  Query answering follows the protocol in
 the paper: an ng-approximate descent to a single leaf establishes the
 best-so-far, after which an exact traversal visits only the nodes whose
 MINDIST lower bound is below the best-so-far.
@@ -34,8 +35,8 @@ from ...summarization.sax import (
     summarize_stream,
     symbolize_batch,
 )
-from ..base import SearchMethod
-from .node import IsaxNode
+from ..base import SearchMethod, route_batch
+from .node import IsaxNode, child_groups, leaf_for
 
 __all__ = ["Isax2PlusIndex"]
 
@@ -117,7 +118,7 @@ class Isax2PlusIndex(SearchMethod):
     def _incremental_build(self) -> None:
         paa = self._prepare_build()
         for position in range(self.store.count):
-            self._insert(position, paa[position])
+            self._route_block(position, paa[position : position + 1])
         self._buffer.flush_all()
 
     def _bulk_build(self) -> None:
@@ -143,92 +144,32 @@ class Isax2PlusIndex(SearchMethod):
                 self._split_leaf(child)
         self._buffer.flush_all()
 
-    def _root_key(self, paa: np.ndarray) -> tuple:
-        word = self.summarizer.word_from_paa(paa, tuple([2] * self.segments))
-        return word.symbols
-
-    def _insert(self, position: int, paa: np.ndarray) -> None:
-        key = self._root_key(paa)
-        child = self.root.children.get(key)
-        if child is None:
-            word = SaxWord(symbols=key, cardinalities=tuple([2] * self.segments))
-            child = IsaxNode(word=word, depth=1, is_leaf=True, parent=self.root)
-            self.root.children[key] = child
-        node = child
-        while not node.is_leaf:
-            node = self._route(node, paa)
-        node.add(position, paa)
-        self._buffer.add(id(node))
-        if node.size > self.leaf_capacity:
-            self._split_leaf(node)
-
-    def append(self, position: int) -> None:
-        """Insert one more series from the store into the built index.
-
-        This is the retained incremental path: bulk loading covers the initial
-        collection, appends go through the same per-series routing/splitting
-        machinery and produce a query-equivalent tree.
-        """
-        self._require_built()
+    def _insert_block(self, start: int, block: np.ndarray) -> None:
         if self._buffer is None or self._buffer.counter is not self.store.counter:
             # Rebuild the pool when the store was re-attached (persistence
             # reload, grown collection) so spill I/O lands on the live counter.
             self._buffer = self._make_buffer()
-        series = np.asarray(self.store.peek(position), dtype=np.float64)
-        self._insert(position, self.summarizer.paa.transform(series))
-        # Appends settle immediately: unlike a build there is no later
-        # flush_all, so leaving the series buffered would accumulate phantom
-        # in-memory state (and eventually spurious spill accounting).
-        self._buffer.flush_all()
+        self._route_block(start, self.summarizer.paa.transform_batch(block))
 
-    def extend(self, start: int, stop: int | None = None) -> int:
-        """Bulk-insert rows ``[start, stop)``: batch-summarize, then insert.
+    def _route_block(self, start: int, paa: np.ndarray) -> None:
+        """Insert summarized rows (store positions ``start``...) in one descent."""
+        positions = np.arange(start, start + paa.shape[0], dtype=np.int64)
 
-        The live-ingest fast path: each block's PAA matrix comes from one
-        vectorized ``transform_batch`` call (the same summarizer the streamed
-        build uses) instead of a per-series ``transform``, and the buffer
-        pool flushes once per extend rather than once per row.  The resulting
-        tree is query-equivalent to appending the rows one at a time.
-        """
-        self._require_built()
-        start = int(start)
-        stop = self.store.count if stop is None else int(stop)
-        if not (0 <= start <= stop <= self.store.count):
-            raise ValueError(
-                f"extend range [{start}, {stop}) out of bounds for "
-                f"{self.store.count} rows"
-            )
-        if self._buffer is None or self._buffer.counter is not self.store.counter:
-            self._buffer = self._make_buffer()
-        # build_chunk_rows=None means "store default" for scans; here any
-        # RSS-bounded block size works, so fall back to a few thousand rows.
-        chunk_rows = self.build_chunk_rows or 4096
-        for block_start in range(start, stop, chunk_rows):
-            block_stop = min(stop, block_start + chunk_rows)
-            block = np.asarray(
-                self.store.peek(slice(block_start, block_stop)), dtype=np.float64
-            )
-            paa = self.summarizer.paa.transform_batch(block)
-            for offset in range(block.shape[0]):
-                self._insert(block_start + offset, paa[offset])
-        self._buffer.flush_all()
-        return stop - start
+        def descend(node: IsaxNode, rows: np.ndarray):
+            return child_groups(node, rows, paa, self.summarizer)
 
-    def _route(self, node: IsaxNode, paa: np.ndarray) -> IsaxNode:
-        """Choose the child of an internal node for a series with PAA ``paa``."""
-        segment = node.split_segment
-        word = node.word.promote(segment, float(paa[segment]))
-        key = word.symbols
-        child = node.children.get(key)
-        if child is None:
-            # The child words of a binary split are fixed; pick the closer one
-            # by scoring every child in one batch MINDIST call.
-            children, symbols, cardinalities = node.child_arrays()
-            bounds = self.summarizer.mindist_paa_to_words_batch(
-                paa, symbols, cardinalities
-            )
-            return children[int(np.argmin(bounds))]
-        return child
+        def deliver(leaf: IsaxNode, rows: np.ndarray) -> None:
+            leaf.add_block(positions[rows], paa[rows])
+            self._buffer.add(id(leaf))
+            if leaf.size > self.leaf_capacity:
+                self._split_leaf(leaf)
+            if self._built:
+                # Rows arriving after the build settle at once — there is no
+                # later flush_all, so only the row that overflows a leaf is
+                # ever in flight (and spill accounting is the per-row one).
+                self._buffer.flush_all()
+
+        route_batch(self.root, paa.shape[0], self.leaf_capacity, descend, deliver)
 
     def _choose_split_segment(self, node: IsaxNode) -> int | None:
         """Pick the segment to promote: the one with the highest PAA spread that
@@ -246,7 +187,7 @@ class Isax2PlusIndex(SearchMethod):
         Works on the leaf's whole payload block: one vectorized symbolization
         of the split-segment column at doubled cardinality, one stable argsort
         to group positions per child word, then contiguous block adoption per
-        child.  Both the bulk loader and the incremental insert path funnel
+        child.  Both the bulk loader and the batch insert router funnel
         their splits through here.
         """
         segment = self._choose_split_segment(node)
@@ -304,20 +245,7 @@ class Isax2PlusIndex(SearchMethod):
 
     # -- search ----------------------------------------------------------------------
     def _leaf_for(self, paa: np.ndarray) -> IsaxNode | None:
-        key = self._root_key(paa)
-        node = self.root.children.get(key)
-        if node is None:
-            # No exact root child: fall back to the closest root child.
-            if not self.root.children:
-                return None
-            children, symbols, cardinalities = self.root.child_arrays()
-            bounds = self.summarizer.mindist_paa_to_words_batch(
-                paa, symbols, cardinalities
-            )
-            node = children[int(np.argmin(bounds))]
-        while not node.is_leaf:
-            node = self._route(node, paa)
-        return node
+        return leaf_for(self.root, paa, self.summarizer)
 
     def _knn_approximate(
         self, query: np.ndarray, k: int, stats: QueryStats

@@ -1,4 +1,4 @@
-"""Nodes of the iSAX-family indexes (iSAX2+ and ADS+)."""
+"""Nodes of the iSAX-family indexes (iSAX2+ and ADS+) and how series reach them."""
 
 from __future__ import annotations
 
@@ -7,9 +7,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...core.soa import GrowableArray, position_vector
-from ...summarization.sax import SaxWord
+from ...summarization.sax import (
+    IsaxSummarizer,
+    SaxWord,
+    group_root_words,
+    symbolize_batch,
+)
 
-__all__ = ["IsaxNode"]
+__all__ = ["IsaxNode", "child_groups", "leaf_for"]
 
 
 @dataclass
@@ -77,12 +82,6 @@ class IsaxNode:
             return np.empty((0, 0), dtype=np.float64)
         return self.paa_values.data
 
-    def add(self, position: int, paa: np.ndarray) -> None:
-        if self.paa_values is None:
-            self.paa_values = GrowableArray(width=len(paa))
-        self.positions.append(position)
-        self.paa_values.append(paa)
-
     def add_block(self, positions: np.ndarray, paa_block: np.ndarray) -> None:
         """Adopt a whole block of series in two contiguous array copies."""
         if len(positions) == 0:
@@ -106,3 +105,64 @@ class IsaxNode:
 
     def leaves(self):
         return [node for node in self.iter_nodes() if node.is_leaf]
+
+
+def _closest_child(node: IsaxNode, paa: np.ndarray, summarizer: IsaxSummarizer) -> int:
+    """Index (into ``child_arrays``) of the child with the smallest MINDIST."""
+    _, symbols, cardinalities = node.child_arrays()
+    return int(np.argmin(summarizer.mindist_paa_to_words_batch(paa, symbols, cardinalities)))
+
+
+def child_groups(
+    node: IsaxNode, rows: np.ndarray, paa: np.ndarray, summarizer: IsaxSummarizer
+) -> list[tuple[IsaxNode, np.ndarray]]:
+    """Split ``rows`` (ascending indices into ``paa``) among ``node``'s children.
+
+    The root fans out on the cardinality-2 word and grows a child for every
+    new word, in arrival order.  An internal node re-symbolizes its split
+    segment at doubled cardinality; its child words are fixed by the split,
+    so a row whose word has no child goes to the MINDIST-closest one.
+    """
+    if node.word is None:
+        base_cards = (2,) * paa.shape[1]
+        groups = []
+        for key, idx in sorted(group_root_words(paa[rows]), key=lambda g: g[1][0]):
+            child = node.children.get(key)
+            if child is None:
+                word = SaxWord(symbols=key, cardinalities=base_cards)
+                child = IsaxNode(word=word, depth=1, is_leaf=True, parent=node)
+                node.children[key] = child
+            groups.append((child, rows[idx]))
+        return groups
+    segment = node.split_segment
+    children, child_symbols, _ = node.child_arrays()
+    symbols = symbolize_batch(
+        paa[rows, segment], node.word.cardinalities[segment] * 2
+    )
+    match = symbols[:, np.newaxis] == child_symbols[np.newaxis, :, segment]
+    target = match.argmax(axis=1)
+    for orphan in np.flatnonzero(~match.any(axis=1)):
+        target[orphan] = _closest_child(node, paa[rows[orphan]], summarizer)
+    groups = [(child, rows[target == i]) for i, child in enumerate(children)]
+    return [group for group in groups if group[1].size]
+
+
+def leaf_for(
+    root: IsaxNode, paa: np.ndarray, summarizer: IsaxSummarizer
+) -> IsaxNode | None:
+    """The leaf one series' PAA vector routes to (the ng-approximate descent)."""
+    if not root.children:
+        return None
+    node = root
+    while not node.is_leaf:
+        if node.word is None:
+            key = tuple(symbolize_batch(paa, 2).tolist())
+        else:
+            segment = node.split_segment
+            key = node.word.promote(segment, float(paa[segment])).symbols
+        child = node.children.get(key)
+        if child is None:
+            # No child carries this word: fall back to the closest one.
+            child = node.child_arrays()[0][_closest_child(node, paa, summarizer)]
+        node = child
+    return node

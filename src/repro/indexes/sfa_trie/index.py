@@ -7,10 +7,11 @@ redistributed one level deeper — i.e. the word is extended by one more DFT
 coefficient, which is the "vertical" splitting style the paper contrasts with
 SAX-based horizontal splits.  Construction is bulk-loaded by default: the
 batch-transformed word matrix is radix-grouped by prefix (one lexsort, then
-contiguous runs per trie level), so the per-series insert loop never runs; the
-incremental path is retained (``append``) for series added after the initial
-load.  The lower bound used for pruning is the SFA cell distance restricted to
-the prefix available at a node.
+contiguous runs per trie level), so the per-series insert loop never runs;
+series added after the initial load are routed a batch at a time (``extend``),
+one descent per batch, into the trie that inserting them one by one would
+leave.  The lower bound used for pruning is the SFA cell distance restricted
+to the prefix available at a node.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ...summarization.sfa import (
     prefix_groups,
     words_stream,
 )
-from ..base import SearchMethod
+from ..base import SearchMethod, route_batch
 
 __all__ = ["SfaTrieIndex", "SfaTrieNode"]
 
@@ -163,7 +164,7 @@ class SfaTrieIndex(SearchMethod):
     def _incremental_build(self) -> None:
         self._summarize_collection()
         for position in range(self.store.count):
-            self._insert(position, self._words[position])
+            self._route_block(position, position + 1)
 
     def _bulk_build(self) -> None:
         """Array-native construction: radix-group the word matrix by prefix.
@@ -190,45 +191,42 @@ class SfaTrieIndex(SearchMethod):
                 # the arrival order of the incremental path.
                 child.positions.extend(np.sort(sub_order))
 
-    def append(self, position: int) -> None:
-        """Insert one more series from the store into the built index.
-
-        Recomputes the series' SFA word with the breakpoints learned at build
-        time, grows the word matrix splits consult (an O(n) array append —
-        batch appends should prefer a rebuild), and routes the series through
-        the retained per-series insert.
-        """
-        self._require_built()
-        if position != self._words.shape[0]:
+    def _insert_block(self, start: int, block: np.ndarray) -> None:
+        """Symbolize the new rows once with the breakpoints learned at build
+        time, grow the word matrix splits consult by the whole block, and
+        route it into the trie."""
+        if start != self._words.shape[0]:
             raise ValueError(
                 f"appends must be contiguous: expected position "
-                f"{self._words.shape[0]}, got {position}"
+                f"{self._words.shape[0]}, got {start}"
             )
-        series = np.asarray(self.store.peek(position), dtype=np.float64)
-        word = self.summarizer.transform(series)
-        self._words = np.vstack([self._words, word[np.newaxis, :]])
-        self._insert(position, self._words[position])
+        words = self.summarizer.transform_batch(block).astype(self._words.dtype)
+        self._words = np.vstack([self._words, words])
+        self._route_block(start, start + block.shape[0])
 
-    def _insert(self, position: int, word: np.ndarray) -> None:
-        key = (int(word[0]),)
-        child = self.root.children.get(key)
-        if child is None:
-            child = SfaTrieNode(prefix=key, depth=1, is_leaf=True)
-            self.root.children[key] = child
-        node = child
-        while not node.is_leaf:
-            node = self._route(node, word)
-        node.positions.append(position)
-        if node.size > self.leaf_capacity and node.depth < self.coefficients:
-            self._split_leaf(node)
+    def _route_block(self, start: int, stop: int) -> None:
+        """Insert rows ``[start, stop)`` of the word matrix in one descent."""
+        positions = np.arange(start, stop, dtype=np.int64)
 
-    def _route(self, node: SfaTrieNode, word: np.ndarray) -> SfaTrieNode:
-        key = node.prefix + (int(word[node.depth]),)
-        child = node.children.get(key)
-        if child is None:
-            child = SfaTrieNode(prefix=key, depth=node.depth + 1, is_leaf=True)
-            node.children[key] = child
-        return child
+        def descend(node: SfaTrieNode, rows: np.ndarray):
+            groups = []
+            symbols = self._words[positions[rows], node.depth]
+            # Missing children are grown in arrival order, as per-row inserts would.
+            for symbol, idx in sorted(group_values(symbols), key=lambda g: g[1][0]):
+                key = node.prefix + (int(symbol),)
+                child = node.children.get(key)
+                if child is None:
+                    child = SfaTrieNode(prefix=key, depth=node.depth + 1, is_leaf=True)
+                    node.children[key] = child
+                groups.append((child, rows[idx]))
+            return groups
+
+        def deliver(leaf: SfaTrieNode, rows: np.ndarray) -> None:
+            leaf.positions.extend(positions[rows])
+            if leaf.size > self.leaf_capacity and leaf.depth < self.coefficients:
+                self._split_leaf(leaf)
+
+        route_batch(self.root, stop - start, self.leaf_capacity, descend, deliver)
 
     def _split_leaf(self, node: SfaTrieNode) -> None:
         """Redistribute an overflowing leaf one prefix level deeper.

@@ -590,10 +590,6 @@ class ShardedMethod(SearchMethod):
     def _collect_footprint(self) -> None:
         """Aggregated in :meth:`_build`; nothing further to collect."""
 
-    def append(self, position: int) -> None:
-        """Route one appended row into the tail shard (see :meth:`extend`)."""
-        self.extend(int(position), int(position) + 1)
-
     def extend(self, start: int, stop: int | None = None) -> int:
         """Bulk-insert newly ingested rows ``[start, stop)`` into the index.
 

@@ -50,31 +50,15 @@ class FlatScan(SearchMethod):
         """Precompute candidate squared norms (one streamed, RSS-bounded pass)."""
         self._norms = self._streamed_norms(chunk_rows=self.tile_series)
 
-    def append(self, position: int) -> None:
-        self.extend(int(position), int(position) + 1)
-
-    def extend(self, start: int, stop: int | None = None) -> int:
+    def _insert_block(self, start: int, block: np.ndarray) -> None:
         """Grow the precomputed norms to cover newly ingested rows.
 
         The scan itself always walks the store's *current* rows; the only
         build-time state is the norm vector, so extending is one vectorized
         norm computation over the new rows.
         """
-        self._require_built()
-        start = int(start)
-        stop = self.store.count if stop is None else int(stop)
-        if not (0 <= start <= stop <= self.store.count):
-            raise ValueError(
-                f"extend range [{start}, {stop}) out of bounds for "
-                f"{self.store.count} rows"
-            )
-        if stop > start:
-            block = np.asarray(
-                self.store.peek(slice(start, stop)), dtype=np.float64
-            )
-            fresh = np.einsum("ij,ij->i", block, block)
-            self._norms = np.concatenate([self._norms[:start], fresh])
-        return stop - start
+        fresh = np.einsum("ij,ij->i", block, block)
+        self._norms = np.concatenate([self._norms[:start], fresh])
 
     def _knn_exact(self, query: np.ndarray, k: int, stats: QueryStats) -> KnnAnswerSet:
         if self.store.supports_quantized_scan:

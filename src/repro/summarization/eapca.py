@@ -150,36 +150,34 @@ class NodeSynopsis:
 
     @classmethod
     def from_series(cls, series: np.ndarray, boundaries: np.ndarray) -> "NodeSynopsis":
-        arr = np.asarray(series, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[np.newaxis, :]
-        segs = []
-        for j in range(len(boundaries) - 1):
-            chunk = arr[:, boundaries[j] : boundaries[j + 1]]
-            means = chunk.mean(axis=1)
-            stds = chunk.std(axis=1)
-            segs.append(
-                SegmentSynopsis(
-                    mean_min=float(means.min()),
-                    mean_max=float(means.max()),
-                    std_min=float(stds.min()),
-                    std_max=float(stds.max()),
-                    width=int(boundaries[j + 1] - boundaries[j]),
-                )
-            )
-        return cls(boundaries=np.asarray(boundaries, dtype=np.int64), segments=segs)
+        arr = np.atleast_2d(np.asarray(series, dtype=np.float64))
+        return synopsis_from_statistics(
+            boundaries, *batch_segment_statistics(arr, boundaries)
+        )
 
-    def update(self, series: np.ndarray) -> None:
-        """Grow the synopsis to cover one more series."""
-        arr = np.asarray(series, dtype=np.float64)
-        for j, seg in enumerate(self.segments):
-            chunk = arr[self.boundaries[j] : self.boundaries[j + 1]]
-            mean = float(chunk.mean())
-            std = float(chunk.std())
-            seg.mean_min = min(seg.mean_min, mean)
-            seg.mean_max = max(seg.mean_max, mean)
-            seg.std_min = min(seg.std_min, std)
-            seg.std_max = max(seg.std_max, std)
+    def fold(self, means: np.ndarray, stds: np.ndarray) -> None:
+        """Grow the synopsis to cover a block of rows.
+
+        ``means``/``stds`` are the rows' ``(rows, segments)`` statistics over
+        this segmentation (see :func:`batch_segment_statistics`).  Each range
+        becomes its union with the block's column min/max — the floats
+        :func:`synopsis_from_statistics` reduces — and min/max compose
+        exactly, so a block folded whole, in pieces or row by row leaves the
+        same ranges.  NaN statistics never widen a range (``fmin``/``fmax``
+        and the comparisons below both skip them).
+        """
+        columns = zip(
+            self.segments,
+            np.fmin.reduce(means, axis=0).tolist(),
+            np.fmax.reduce(means, axis=0).tolist(),
+            np.fmin.reduce(stds, axis=0).tolist(),
+            np.fmax.reduce(stds, axis=0).tolist(),
+        )
+        for seg, mean_min, mean_max, std_min, std_max in columns:
+            seg.mean_min = min(seg.mean_min, mean_min)
+            seg.mean_max = max(seg.mean_max, mean_max)
+            seg.std_min = min(seg.std_min, std_min)
+            seg.std_max = max(seg.std_max, std_max)
 
     # -- bounding distances ---------------------------------------------------
     def lower_bound(self, query: np.ndarray) -> float:

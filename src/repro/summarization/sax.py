@@ -268,7 +268,7 @@ class SaxWord:
         new_cards = list(self.cardinalities)
         new_syms = list(self.symbols)
         new_cards[segment] = self.cardinalities[segment] * 2
-        new_syms[segment] = int(_symbolize(np.array([paa_value]), new_cards[segment])[0])
+        new_syms[segment] = int(_symbolize(paa_value, new_cards[segment]))
         return SaxWord(symbols=tuple(new_syms), cardinalities=tuple(new_cards))
 
     def prefix_symbol(self, segment: int, cardinality: int) -> int:
@@ -328,11 +328,16 @@ class IsaxSummarizer(Summarizer):
     def word_from_paa(
         self, paa: np.ndarray, cardinalities: tuple | None = None
     ) -> SaxWord:
-        cards = cardinalities or tuple([self.cardinality] * self.segments)
-        symbols = tuple(
-            int(_symbolize(np.array([paa[j]]), cards[j])[0]) for j in range(self.segments)
-        )
-        return SaxWord(symbols=symbols, cardinalities=tuple(cards))
+        cards = tuple(cardinalities or [self.cardinality] * self.segments)
+        values = np.asarray(paa, dtype=np.float64)
+        # One searchsorted per distinct cardinality (a root or full-resolution
+        # word has one), not one per segment.
+        symbols = np.empty(self.segments, dtype=np.int64)
+        card_row = np.array(cards)
+        for card in set(cards):
+            at_card = card_row == card
+            symbols[at_card] = _symbolize(values[at_card], card)
+        return SaxWord(symbols=tuple(symbols.tolist()), cardinalities=cards)
 
     # -- distances -------------------------------------------------------------
     def mindist_paa_to_word(self, query_paa: np.ndarray, word: SaxWord) -> float:

@@ -3,8 +3,8 @@
 For every tree method, a bulk-built index (``build_mode="bulk"``, the default)
 and a loop-built index (``build_mode="incremental"``) must return identical
 ``knn_exact``/``knn_exact_batch`` results — including ties — and respect the
-leaf capacity.  The retained per-series ``_insert`` path is exercised through
-``append`` after a bulk build.
+leaf capacity.  The insert router is exercised through ``append``/``extend``
+after a bulk build.
 """
 
 import numpy as np
@@ -142,7 +142,7 @@ class TestBuildEquivalence:
 
 
 class TestAppendAfterBulkBuild:
-    """The per-series insert path must keep working after a bulk build."""
+    """The insert path must keep working after a bulk build."""
 
     @pytest.mark.parametrize("method_name", sorted(TREE_METHOD_PARAMS))
     def test_append_matches_full_build(self, method_name):
@@ -151,7 +151,7 @@ class TestAppendAfterBulkBuild:
         params = TREE_METHOD_PARAMS[method_name]
 
         # Bulk-build over the first 140 series, then append the remaining 10
-        # through the retained incremental path (re-attaching a grown store,
+        # through the insert router (re-attaching a grown store,
         # the way persistence re-attaches stores on load).
         grown = create_method(
             method_name,
@@ -196,6 +196,8 @@ class TestAppendAfterBulkBuild:
         """Queries before an append populate the DSTree bound caches; the
         append must invalidate them or later queries over-prune (regression:
         26/80 queries returned wrong distances before the path invalidation).
+        Rows arrive one at a time or a batch at a time; a batch invalidates
+        every internal node it passes through.
         """
         rng = np.random.default_rng(307)
         base = random_walk_dataset(300, 32, seed=305).values
@@ -220,8 +222,15 @@ class TestAppendAfterBulkBuild:
         for query in queries:
             grown.knn_exact(KnnQuery(series=query, k=3))
         grown.store = SeriesStore(Dataset(values=values.copy(), name="full"))
-        for position in range(initial, len(values)):
-            grown.append(position)
+        start = initial
+        for batch in (1, 1, 16, 1, 21):
+            grown.extend(start, start + batch)
+            # A query right after the insert re-warms the caches the next
+            # batch must invalidate again, and must already see the new row.
+            probe = grown.knn_exact(KnnQuery(series=values[start].astype(np.float64), k=1))
+            assert probe.nearest.position == start and probe.nearest.distance == 0.0
+            start += batch
+        assert start == len(values)
 
         reference = create_method(
             "dstree",

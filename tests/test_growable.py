@@ -474,13 +474,16 @@ def test_snapshot_query_equals_frozen_prefix(method_name, live_store):
 
 EXTEND_METHODS = {
     name: METHOD_PARAMS[name]
-    for name in ("flat", "dstree", "isax2+", "ads+", "sfa-trie", "sharded:flat")
+    for name in (
+        "flat", "dstree", "isax2+", "ads+", "sfa-trie", "sharded:flat", "sharded:isax2+"
+    )
 }
 
 
 @pytest.mark.parametrize("method_name", sorted(EXTEND_METHODS))
 def test_live_extend_matches_full_rebuild(method_name, tmp_path):
-    """build(prefix) + store.extend + method.extend answers like build(all)."""
+    """build(prefix) + store.extend + method.extend answers like build(all);
+    a sharded method routes every extend to its tail shard."""
     from repro.workloads.generators import random_walk
 
     matrix = random_walk(150, _LENGTH, seed=55)
@@ -492,9 +495,13 @@ def test_live_extend_matches_full_rebuild(method_name, tmp_path):
     method = create_method(method_name, store, **params)
     method.build()
 
-    old = store.count
-    store.extend(matrix[100:])
-    assert method.extend(old) == 50
+    for stop in (130, 150):
+        old = store.count
+        store.extend(matrix[old:stop])
+        assert method.extend(old) == stop - old
+        # Queries between extends already see every acked row.
+        newest = method.knn_exact(KnnQuery(series=matrix[stop - 1].astype(np.float64), k=1))
+        assert newest.nearest.position == stop - 1
 
     full = SeriesStore(Dataset(values=matrix.copy(), name="full"))
     rebuilt = create_method(method_name, full, **params)

@@ -19,8 +19,8 @@ class TestIsaxNode:
             word=SaxWord(symbols=(0, 1), cardinalities=(2, 2)), depth=1, parent=root
         )
         root.children[(0, 1)] = child
-        child.add(4, np.zeros(2))
-        child.add(7, np.ones(2))
+        child.add_block(np.array([4]), np.zeros((1, 2)))
+        child.add_block(np.array([7]), np.ones((1, 2)))
         assert child.size == 2
         assert [node for node in root.iter_nodes()] != []
         assert root.leaves() == [child]

@@ -258,7 +258,7 @@ class TestShardedStreamedBuilds:
 
 
 class TestAppendAfterStreamedBuild:
-    """The per-series insert path must keep working after a streamed build."""
+    """The insert path must keep working after a streamed build."""
 
     @pytest.mark.parametrize("method_name", sorted(TREE_METHOD_PARAMS))
     def test_append_after_streamed_build(self, method_name):
@@ -287,7 +287,8 @@ class TestAppendAfterStreamedBuild:
 
     def test_dstree_append_invalidates_bound_caches_after_streamed_build(self):
         """Queries warm the cached child-bound matrices; appends through the
-        streamed-build state must still invalidate them along the insert path."""
+        streamed-build state must still invalidate them along the insert path
+        (one row at a time, then the rest of the tail in one batch)."""
         rng = np.random.default_rng(5)
         base = random_walk_dataset(120, 32, seed=17).values
         outliers = (rng.standard_normal((8, 32)) * 0.2 + 4.0).astype(np.float32)
@@ -299,8 +300,9 @@ class TestAppendAfterStreamedBuild:
         for probe in probes:  # warm every node's cached bound matrices
             method.knn_exact(KnnQuery(series=probe, k=2))
         method.store = SeriesStore(full)
-        for position in range(120, 128):
-            method.append(position)
+        method.append(120)
+        method.append(121)
+        method.extend(122, 128)
         for i, probe in enumerate(probes):
             result = method.knn_exact(KnnQuery(series=probe, k=1))
             assert result.positions()[0] == 120 + i

@@ -8,7 +8,11 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.distance import euclidean
 from repro.summarization.apca import ApcaSummarizer, apca_transform
-from repro.summarization.eapca import EapcaSummarizer, NodeSynopsis
+from repro.summarization.eapca import (
+    EapcaSummarizer,
+    NodeSynopsis,
+    batch_segment_statistics,
+)
 
 
 class TestApca:
@@ -125,10 +129,28 @@ class TestNodeSynopsis:
         rng = np.random.default_rng(9)
         base = rng.standard_normal((5, 32))
         summarizer = EapcaSummarizer(32, 4)
-        synopsis = NodeSynopsis.from_series(base, summarizer.boundaries)
-        outlier = np.full(32, 100.0)
-        synopsis.update(outlier)
+        boundaries = summarizer.boundaries
+        synopsis = NodeSynopsis.from_series(base, boundaries)
+        block = np.vstack([np.full(32, 100.0), rng.standard_normal((6, 32)) * 3])
+        means, stds = batch_segment_statistics(block, boundaries)
+        synopsis.fold(means, stds)
         assert synopsis.segments[0].mean_max == pytest.approx(100.0)
+        # Folding a block whole, row by row, or building over everything at
+        # once leaves the same floats (min/max compose exactly).
+        by_row = NodeSynopsis.from_series(base, boundaries)
+        for i in range(len(block)):
+            by_row.fold(means[i : i + 1], stds[i : i + 1])
+        whole = NodeSynopsis.from_series(np.vstack([base, block]), boundaries)
+        assert synopsis.segments == by_row.segments == whole.segments
+
+    def test_fold_skips_nan_statistics(self):
+        boundaries = EapcaSummarizer(8, 2).boundaries
+        synopsis = NodeSynopsis.from_series(np.arange(8.0), boundaries)
+        before = [vars(seg).copy() for seg in synopsis.segments]
+        means = np.array([[np.nan, 9.0], [np.nan, np.nan]])
+        synopsis.fold(means, means)
+        assert vars(synopsis.segments[0]) == before[0]
+        assert synopsis.segments[1].mean_max == 9.0 == synopsis.segments[1].std_max
 
     def test_member_has_zero_lower_bound(self, synopsis_and_data):
         synopsis, data = synopsis_and_data
