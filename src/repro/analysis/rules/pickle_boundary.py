@@ -10,7 +10,10 @@ reintroduce raw-array shipping:
   live counters, or cached arrays across the boundary (and double-counts
   the counters on merge);
 * a task-plan dataclass growing an ``ndarray``-typed field ships the
-  collection itself inside every task.
+  collection itself inside every task;
+* a task plan may hold a built index *by reference* for in-process execution
+  — without a ``__getstate__`` that refuses to ship it, the same field would
+  drag the whole index (and its store) through every cross-process task.
 
 The allowlists below name the classes that cross the boundary today; a
 new boundary class must be added here *with* its ``__getstate__``.
@@ -31,22 +34,29 @@ STATE_CLASSES = {
     "GrowableBackend",
     "FaultInjectingBackend",
     "BufferPool",
+    # ships its slot index, never its cells or lock
+    "SharedRadius",
+    # ships its local content, never its radius
+    "SharedKnnAnswerSet",
 }
 
 #: task-plan classes: picklable by design, but must never carry arrays.
 PLAN_CLASSES = {"_ShardTask"}
 
+#: live objects a plan may reference in process, never across the boundary.
+LIVE_REFERENCES = ("SearchMethod",)
+
 _STATE_METHODS = {"__getstate__", "__reduce__", "__reduce_ex__", "__getnewargs__"}
 
 
-def _annotation_mentions_ndarray(annotation: ast.expr) -> bool:
+def _annotation_mentions(annotation: ast.expr, name: str) -> bool:
     for node in ast.walk(annotation):
-        if isinstance(node, ast.Name) and node.id == "ndarray":
+        if isinstance(node, ast.Name) and node.id == name:
             return True
-        if isinstance(node, ast.Attribute) and node.attr == "ndarray":
+        if isinstance(node, ast.Attribute) and node.attr == name:
             return True
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if "ndarray" in node.value:
+            if name in node.value:
                 return True
     return False
 
@@ -57,7 +67,8 @@ class PickleBoundaryRule(Rule):
     severity = "error"
     description = (
         "process-boundary classes must define __getstate__/__reduce__, and "
-        "task plans must not carry ndarray-typed fields"
+        "task plans must not carry ndarray-typed fields or unguarded live "
+        "references"
     )
     invariant = (
         "Plans, never data, across the process boundary (PR 9): stores "
@@ -70,12 +81,12 @@ class PickleBoundaryRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
+            defined = {
+                item.name
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
             if node.name in STATE_CLASSES:
-                defined = {
-                    item.name
-                    for item in node.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                }
                 if not (defined & _STATE_METHODS):
                     yield self.finding(
                         module,
@@ -86,13 +97,24 @@ class PickleBoundaryRule(Rule):
                     )
             if node.name in PLAN_CLASSES:
                 for item in node.body:
-                    if isinstance(item, ast.AnnAssign) and _annotation_mentions_ndarray(
-                        item.annotation
-                    ):
+                    if not isinstance(item, ast.AnnAssign):
+                        continue
+                    if _annotation_mentions(item.annotation, "ndarray"):
                         yield self.finding(
                             module,
                             item,
                             f"{node.name} is a process task plan; an "
                             "ndarray-typed field ships raw data with every "
                             "task — ship a by-path store handle instead",
+                        )
+                    elif not (defined & _STATE_METHODS) and any(
+                        _annotation_mentions(item.annotation, name)
+                        for name in LIVE_REFERENCES
+                    ):
+                        yield self.finding(
+                            module,
+                            item,
+                            f"{node.name} holds a live index by reference but "
+                            "defines no __getstate__/__reduce__ to keep it "
+                            "from crossing the process boundary",
                         )

@@ -1,37 +1,43 @@
-"""Parallel execution backends: worker pools, shared radii, batch dispatch.
+"""Parallel execution: worker pools, the shared pruning radius, batch dispatch.
 
-Every hot path in the library bottoms out in NumPy kernels that release the
-GIL (distance tiles, lower-bound batches, FFTs, lexsorts), so thread pools are
-the cheapest way to use every core for those: no serialization, no copies of
-the dataset, and the simulated-storage accounting stays in process.  Python-
-heavy tree descent (iSAX2+/DSTree/SFA-trie node routing) does *not* scale on
-threads — the GIL serializes it — which is what the process executor exists
-for.  This module is the single home for that machinery:
+One pipeline, two ways to reach a worker.  The sharded wrapper describes its
+work as tasks and hands them to an :class:`Executor`; what the executor
+decides is only where a task runs:
+
+* :class:`ThreadExecutor` (``in_process = True``) runs tasks on a persistent
+  thread pool in the caller's address space: no serialization, no copy of the
+  dataset, and the NumPy kernels every hot path bottoms out in (distance
+  tiles, lower-bound batches, FFTs, lexsorts) release the GIL and scale.
+  Python-heavy tree descent (iSAX2+/DSTree/SFA-trie node routing) does *not*
+  scale on threads — the GIL serializes it.
+* :class:`ProcessExecutor` (``in_process = False``) runs the same tasks on a
+  persistent warm ``multiprocessing`` pool, so descent scales too; tasks and
+  results cross a pickle boundary, and a SIGKILLed worker is survived.
+
+Both hand out the same cross-shard pruning handle, :class:`SharedRadius` —
+one cell per in-flight query, owned by the executor (a plain list for
+threads, a shared-memory array for processes) — and both report per-task
+:class:`TaskOutcome` records from :meth:`Executor.map_outcomes`, so dispatch,
+retry, merge and degradation are written once, above this module.
+
+Also here:
 
 * :func:`resolve_workers` — one rule for turning a ``workers=`` argument (or
   the ``REPRO_WORKERS`` environment variable) into a worker count;
-* :func:`parallel_map` — an ordered, exception-propagating thread map used by
-  the sharded index wrapper and the batch dispatcher;
+* :func:`resolve_executor` — the same for ``executor=`` / ``REPRO_EXECUTOR``;
 * :func:`chunk_slices` — deterministic contiguous partitioning shared by the
   shard planner and the inter-query batch chunker;
-* :class:`SharedRadius` — the lock-guarded monotone best-so-far threshold that
-  concurrent shard searches read to tighten their pruning;
-* :class:`Executor` / :class:`ThreadExecutor` / :class:`ProcessExecutor` —
-  the pluggable execution seam the sharded wrapper fans out on, selected by
-  ``executor=`` arguments or the ``REPRO_EXECUTOR`` environment variable;
-* :class:`ProcessSharedRadius` — the shared-memory counterpart of
-  :class:`SharedRadius` for cross-process best-so-far pruning;
+* :func:`parallel_map` / :func:`parallel_map_outcomes` — ordered thread maps,
+  exception-propagating and exception-capturing;
 * :func:`parallel_batch_search` — inter-query parallelism over any built
   :class:`~repro.indexes.base.SearchMethod`.
 
-Thread-safety story (applies to every worker spawned here): workers never
-mutate shared accounting state.  Each worker gets a *forked* store
+Accounting protocol (applies to every worker spawned here): workers never
+mutate shared accounting state.  Each task reads through a *forked* store
 (:meth:`~repro.core.storage.SeriesStore.fork` — same dataset, fresh
-:class:`~repro.core.stats.AccessCounter`), accumulates privately, and the
-coordinating thread merges the counters with ``AccessCounter.merge`` after
-joining.  Process workers follow the same protocol across a pickle boundary:
-task results carry the worker-local counter deltas back for post-join
-merging.  Results are always returned in submission order; scheduling never
+:class:`~repro.core.stats.AccessCounter`) and returns its counter delta; the
+coordinating thread merges the deltas with ``AccessCounter.merge`` after the
+join.  Results are always returned in submission order; scheduling never
 reorders or changes answers (chunking a batch does change the GEMM tile
 shape seen by the flat/MASS vectorized kernels, whose distances may move in
 the final ulp — the caveat their batch path already documents).
@@ -46,6 +52,7 @@ import sys
 import threading
 import time
 from concurrent.futures import (
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait as futures_wait,
@@ -73,7 +80,6 @@ __all__ = [
     "ThreadExecutor",
     "ProcessExecutor",
     "SharedRadius",
-    "ProcessSharedRadius",
     "parallel_batch_search",
 ]
 
@@ -139,25 +145,17 @@ def chunk_slices(total: int, parts: int) -> list[slice]:
     return slices
 
 
-def parallel_map(
-    fn: Callable, items: Iterable, workers: int, pool: ThreadPoolExecutor | None = None
-) -> list:
+def parallel_map(fn: Callable, items: Iterable, workers: int) -> list:
     """Apply ``fn`` to every item on a thread pool, preserving item order.
 
     With ``workers <= 1`` (or one item) this is a plain loop — zero threading
     overhead and an identical code path, which is what makes ``workers=1`` the
     exact sequential baseline.  Exceptions raised by any worker propagate to
     the caller, like the built-in ``map``.
-
-    ``pool`` reuses a caller-owned executor (hot serving paths keep one per
-    sharded method so queries do not pay thread spawn/join per call); without
-    one, a transient executor is created and torn down around the map.
     """
     work = list(items)
     if workers <= 1 or len(work) <= 1:
         return [fn(item) for item in work]
-    if pool is not None:
-        return list(pool.map(fn, work))
     with ThreadPoolExecutor(max_workers=min(int(workers), len(work))) as transient:
         return list(transient.map(fn, work))
 
@@ -250,36 +248,47 @@ def parallel_map_outcomes(
 
 
 class SharedRadius:
-    """A monotonically tightening best-so-far squared radius shared by workers.
+    """One query's monotonically tightening best-so-far squared radius.
 
     Concurrent shard searches publish their local pruning threshold here and
     read the global minimum to prune against answers found by *other* shards.
+    The handle names one cell of a slot of cells its executor owns — a plain
+    list for in-process workers, a shared-memory ``multiprocessing`` array for
+    process workers — and pickles as the cell's index only: a pool worker
+    resolves the index against the table its pool initializer installed.
+
     Updates are lock-guarded and monotone (the value only ever decreases), so
     a stale read is always a *looser* threshold — never incorrect, exactness
-    does not depend on the interleaving.  Reads are a single attribute load
-    (atomic under the GIL) so the hot path takes no lock.
+    does not depend on the interleaving.  Reads are one list load (atomic
+    under the GIL) or one aligned 8-byte load (atomic on every supported
+    platform), so the pruning hot path takes no lock.
     """
 
-    __slots__ = ("_lock", "_value")
+    __slots__ = ("_cells", "_lock", "index")
 
-    def __init__(self, value: float = math.inf) -> None:
-        self._lock = threading.Lock()
-        self._value = float(value)
+    def __init__(self, cells, lock, index: int) -> None:
+        self._cells = cells
+        self._lock = lock
+        self.index = int(index)
 
     @property
     def value(self) -> float:
         """The current global threshold (squared distance)."""
-        return self._value
+        return self._cells[self.index]
 
     def tighten(self, value: float) -> bool:
         """Lower the shared threshold to ``value`` if it improves the current one."""
-        if not value < self._value:  # cheap lock-free rejection of stale updates
+        cells, index = self._cells, self.index
+        if not value < cells[index]:  # cheap lock-free rejection of stale updates
             return False
         with self._lock:
-            if value < self._value:
-                self._value = value
+            if value < cells[index]:
+                cells[index] = value
                 return True
         return False
+
+    def __reduce__(self):
+        return _worker_radius, (self.index,)
 
 
 # --------------------------------------------------------------------------- #
@@ -307,60 +316,29 @@ def _process_worker_init(radius_table, sys_paths: list[str]) -> None:
             sys.path.insert(0, path)
 
 
-class ProcessSharedRadius:
-    """Shared-memory counterpart of :class:`SharedRadius` for process workers.
-
-    The coordinator owns a ``multiprocessing`` double array (one slot per
-    in-flight query) that reaches every worker through the pool initializer;
-    instances of this class are the picklable per-query handle — they carry
-    only a slot index, and resolve the table through the worker-side module
-    global.  Same monotone-tighten API and the same staleness argument as the
-    thread variant: a stale read is a looser threshold, never a wrong one.
-    Reads are a single aligned 8-byte load (atomic on every supported
-    platform), so the pruning hot path takes no cross-process lock; tightening
-    takes the table's lock and re-checks under it.
-    """
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: int) -> None:
-        self._index = int(index)
-
-    @property
-    def value(self) -> float:
-        """The current global threshold (squared distance)."""
-        table = _WORKER_RADIUS_TABLE
-        if table is None:  # outside a pool worker: no sharing, prune locally
-            return float("inf")
-        return table.get_obj()[self._index]
-
-    def tighten(self, value: float) -> bool:
-        """Lower the shared threshold to ``value`` if it improves the current one."""
-        table = _WORKER_RADIUS_TABLE
-        if table is None:
-            return False
-        cells = table.get_obj()
-        if not value < cells[self._index]:  # cheap lock-free rejection
-            return False
-        with table.get_lock():
-            if value < cells[self._index]:
-                cells[self._index] = value
-                return True
-        return False
+def _worker_radius(index: int) -> SharedRadius:
+    """Unpickle a :class:`SharedRadius` inside a pool worker."""
+    table = _WORKER_RADIUS_TABLE
+    if table is None:
+        raise RuntimeError(
+            "a SharedRadius handle only unpickles inside a process-pool worker"
+        )
+    return SharedRadius(table.get_obj(), table.get_lock(), index)
 
 
 class Executor:
     """Protocol for the sharded wrapper's fan-out backend.
 
-    Implementations provide an ordered, exception-propagating :meth:`map`, a
-    fault-capturing :meth:`map_outcomes` (absolute monotonic ``deadline``
-    semantics identical to :func:`parallel_map_outcomes`), and the radius-slot
-    API that backs cross-worker best-so-far pruning.  The thread executor has
-    no slot table — callers get ``None`` slots and fall back to in-process
-    :class:`SharedRadius` objects.
+    Implementations provide a fault-capturing :meth:`map_outcomes` (absolute
+    monotonic ``deadline`` semantics identical to
+    :func:`parallel_map_outcomes`) and own the cells behind the
+    :class:`SharedRadius` handles of the queries in flight.
     """
 
     kind: str = ""
+    #: whether tasks run in the caller's address space.  In-process executors
+    #: are handed live objects by reference; the others get picklable plans.
+    in_process: bool = True
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = resolve_workers(workers)
@@ -368,20 +346,26 @@ class Executor:
         #: closed by any one of them; ``shutdown_shared_executors`` owns those.
         self.shared = False
 
-    def map(self, fn: Callable, items: Iterable) -> list:
-        raise NotImplementedError
-
     def map_outcomes(
         self, fn: Callable, items: Iterable, deadline: float | None = None
     ) -> list[TaskOutcome]:
         raise NotImplementedError
 
-    def acquire_radius_slots(self, count: int) -> list[int | None]:
-        """Reserve ``count`` shared-radius slots; ``None`` entries mean no sharing."""
-        return [None] * count
+    def acquire_radii(self, count: int) -> list[SharedRadius | None]:
+        """One fresh radius (at ``inf``) per query of a fan-out, in query order.
 
-    def release_radius_slots(self, slots: list[int | None]) -> None:
-        """Return previously acquired slots to the pool."""
+        In-process cells are a new list per call and are never reused, so a
+        task that outlives its fan-out's deadline can only ever tighten the
+        radius of the query it belongs to.  ``None`` entries (executors with
+        a bounded table) mean "no sharing for this query": local-only
+        pruning, identical answers.
+        """
+        cells = [math.inf] * count
+        lock = threading.Lock()
+        return [SharedRadius(cells, lock, index) for index in range(count)]
+
+    def release_radii(self, radii: list[SharedRadius | None]) -> None:
+        """Give back what :meth:`acquire_radii` handed out, once the fan-out returned."""
 
     def close(self) -> None:
         """Release pooled resources; the executor lazily recreates them on reuse."""
@@ -390,11 +374,10 @@ class Executor:
 class ThreadExecutor(Executor):
     """The default executor: a lazily created, persistent thread pool.
 
-    Exactly the previous in-process behavior of the sharded wrapper — shared
-    memory, zero serialization, NumPy kernels scale, Python-level descent does
-    not.  ``workers <= 1`` (or a single task) degenerates to a plain loop on
-    the calling thread, which is what makes one worker the exact sequential
-    baseline.
+    Shared memory, zero serialization: NumPy kernels scale, Python-level
+    descent does not.  ``workers <= 1`` (or a single task) degenerates to a
+    plain loop on the calling thread, which is what makes one worker the
+    exact sequential baseline.
     """
 
     kind = "thread"
@@ -416,11 +399,6 @@ class ThreadExecutor(Executor):
                         max_workers=self.workers, thread_name_prefix="repro-shard"
                     )
         return pool
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        work = list(items)
-        pool = self._ensure_pool() if len(work) > 1 else None
-        return parallel_map(fn, work, self.workers, pool=pool)
 
     def map_outcomes(
         self, fn: Callable, items: Iterable, deadline: float | None = None
@@ -450,7 +428,10 @@ class ProcessExecutor(Executor):
     Cross-process pruning uses a fixed table of shared-memory radius slots
     created *before* the pool and handed to workers via the pool initializer
     (``multiprocessing`` synchronized objects cannot ride task arguments).
-    A SIGKILLed worker surfaces as :class:`BrokenProcessPool` on every
+    Slots are recycled, so a slot released while a task that missed its
+    fan-out's deadline is still running is held back until that task has
+    finished: a straggler must never tighten the radius of the slot's next
+    query.  A SIGKILLed worker surfaces as :class:`BrokenProcessPool` on every
     in-flight future; those tasks are reported as failed outcomes and the
     broken pool is discarded so the next dispatch transparently spawns a
     fresh one (the radius table survives — it belongs to the executor, not
@@ -458,6 +439,7 @@ class ProcessExecutor(Executor):
     """
 
     kind = "process"
+    in_process = False
 
     #: default number of concurrently shareable query radii; overflow queries
     #: silently fall back to local-only pruning (same answers, more work).
@@ -480,6 +462,10 @@ class ProcessExecutor(Executor):
         slots = int(radius_slots if radius_slots is not None else self.RADIUS_SLOTS)
         self._radius_table = self._ctx.Array("d", slots)
         self._free_slots = list(range(slots))
+        #: tasks still running after their fan-out's deadline, and the slots
+        #: released while any of them was: ``(stragglers, slots)`` pairs.
+        self._stragglers: list[Future] = []
+        self._held_slots: list[tuple[tuple[Future, ...], list[int]]] = []
         self._slot_lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
@@ -517,16 +503,6 @@ class ProcessExecutor(Executor):
 
     # -- dispatch ----------------------------------------------------------- #
 
-    def map(self, fn: Callable, items: Iterable) -> list:
-        results = []
-        for outcome in self.map_outcomes(fn, items):
-            if outcome.error is not None:
-                raise outcome.error
-            if outcome.timed_out:
-                raise TimeoutError("process task did not complete")
-            results.append(outcome.value)
-        return results
-
     def map_outcomes(
         self, fn: Callable, items: Iterable, deadline: float | None = None
     ) -> list[TaskOutcome]:
@@ -549,6 +525,10 @@ class ProcessExecutor(Executor):
             futures_wait(futures, timeout=max(0.0, deadline - time.monotonic()))
             for future in futures:
                 future.cancel()
+            with self._slot_lock:
+                self._stragglers = [
+                    f for f in self._stragglers + futures if not f.done()
+                ]
         outcomes: list[TaskOutcome] = []
         broken = False
         for future in futures:
@@ -567,30 +547,36 @@ class ProcessExecutor(Executor):
 
     # -- shared radius slots ------------------------------------------------ #
 
-    def acquire_radius_slots(self, count: int) -> list[int | None]:
-        taken: list[int | None] = []
+    def acquire_radii(self, count: int) -> list[SharedRadius | None]:
         with self._slot_lock:
-            while len(taken) < count and self._free_slots:
-                taken.append(self._free_slots.pop())
-        if taken:
-            with self._radius_table.get_lock():
-                cells = self._radius_table.get_obj()
-                for index in taken:
-                    cells[index] = float("inf")
-        while len(taken) < count:  # table exhausted: local-only pruning
-            taken.append(None)
-        return taken
+            self._reclaim_slots()
+            free = self._free_slots
+            taken = [free.pop() for _ in range(min(count, len(free)))]
+        cells, lock = self._radius_table.get_obj(), self._radius_table.get_lock()
+        with lock:
+            for index in taken:
+                cells[index] = math.inf
+        radii: list[SharedRadius | None] = [
+            SharedRadius(cells, lock, index) for index in taken
+        ]
+        # Table exhausted: the remaining queries prune locally.
+        return radii + [None] * (count - len(taken))
 
-    def release_radius_slots(self, slots: list[int | None]) -> None:
-        live = [slot for slot in slots if slot is not None]
-        if not live:
-            return
+    def release_radii(self, radii: list[SharedRadius | None]) -> None:
+        slots = [radius.index for radius in radii if radius is not None]
         with self._slot_lock:
-            self._free_slots.extend(live)
+            self._held_slots.append((tuple(self._stragglers), slots))
+            self._reclaim_slots()
 
-    def radius_value(self, slot: int) -> float:
-        """Coordinator-side read of one slot (tests and merge diagnostics)."""
-        return self._radius_table.get_obj()[slot]
+    def _reclaim_slots(self) -> None:
+        """Free held slots whose stragglers have all finished (slot lock held)."""
+        held = []
+        for stragglers, slots in self._held_slots:
+            if any(not future.done() for future in stragglers):
+                held.append((stragglers, slots))
+            else:
+                self._free_slots.extend(slots)
+        self._held_slots = held
 
 
 def default_executor_kind() -> str:

@@ -1,53 +1,62 @@
 """Parallel sharded execution: any method, partitioned and run on all cores.
 
 :class:`ShardedMethod` splits a :class:`~repro.core.storage.SeriesStore` into
-``shards`` contiguous partitions, builds one instance of any registered
-:class:`~repro.indexes.base.SearchMethod` per partition (concurrently), and
-answers queries by fanning out over the shards on a pluggable
-:class:`~repro.core.parallel.Executor`:
+``shards`` contiguous partitions, keeps one instance of any registered
+:class:`~repro.indexes.base.SearchMethod` per partition, and does everything
+— builds included — through one pipeline:
 
-* **thread mode** (the default): shards run on a persistent thread pool in
-  shared memory — zero serialization, and NumPy kernels that release the GIL
-  scale across cores.  Python-heavy tree descent does not (the GIL serializes
-  it), which is what process mode exists for.
-* **process mode** (``executor="process"`` / ``REPRO_EXECUTOR=process``):
-  shards run on a persistent warm process pool.  Tasks ship *plans* — method
-  name + params + a picklable backend handle (path + row range), never raw
-  data; in-memory collections are spilled once to a temporary ``.npy`` and
-  shipped as mmap slices of the spill.  Each worker process rebuilds (or
-  reuses, via a per-worker cache keyed by dataset fingerprint + shard slice +
-  method signature) its shard's index, and returns answers plus
-  :class:`~repro.core.stats.AccessCounter` / ``QueryStats`` deltas for
-  post-join merging.
+1. the operation is cut into ``(shard, op, payload)`` *units* (one per shard
+   for a single query, one per shard x query-chunk for a batch);
+2. each unit is materialised as a :class:`_ShardTask` for the
+   :class:`~repro.core.parallel.Executor` the method holds;
+3. the executor runs :func:`_execute_shard_task` on every task and reports a
+   :class:`~repro.core.parallel.TaskOutcome` per task;
+4. failed units are re-dispatched (fresh store fork, fresh fault incarnation)
+   up to ``shard_attempts`` times, coordinator-side — the one retry policy
+   that also survives a broken worker pool;
+5. results and :class:`~repro.core.stats.AccessCounter` deltas are merged on
+   the coordinating thread; units that never succeeded either raise or
+   degrade the queries they served (``allow_partial``).
 
-Query semantics are executor-independent:
+The executor decides only how step 2 materialises a task:
+
+* **in process** (``executor="thread"``, the default): the task holds the
+  shard's built index *by reference* and a fork of the shard's store.
+  Nothing is pickled, fingerprinted or spilled.  NumPy kernels that release
+  the GIL scale across cores; Python-heavy tree descent does not.
+* **across a pickle boundary** (``executor="process"`` /
+  ``REPRO_EXECUTOR=process``): the task is a *plan* — method name + params +
+  a by-path store handle (path + row range), never raw data; in-memory
+  collections are spilled once to a temporary ``.npy`` and shipped as mmap
+  slices of the spill.  Each worker process builds (or reuses, from a
+  per-worker cache keyed by content fingerprint + shard slice + method
+  signature) the shard's index.  Descent scales too, and a SIGKILLed worker
+  is replaced and its units re-dispatched.
+
+Query semantics are the pipeline's, hence executor-independent:
 
 * **k-NN**: every shard searches its partition; shards publish their local
-  best-so-far into a shared monotone radius — an in-process
-  :class:`~repro.core.parallel.SharedRadius` on threads, a shared-memory
-  :class:`~repro.core.parallel.ProcessSharedRadius` slot on processes — that
-  the other shards read to prune harder.  The per-shard
+  best-so-far into the query's :class:`~repro.core.parallel.SharedRadius`,
+  which the other shards read to prune harder.  The per-shard
   :class:`~repro.core.answers.KnnAnswerSet` results are merged with the
   deterministic ``(distance, position)`` tie-break, so the merged answers are
   **byte-identical** to running the unsharded method — and identical for any
   worker count and either executor, including ``workers=1``.
 * **batch k-NN**: the query batch is chunked and every (shard, chunk) pair is
-  one task, so inter-query and intra-query parallelism compose; each query
+  one unit, so inter-query and intra-query parallelism compose; each query
   carries its own shared radius across shards, and shards with a vectorized
   batch path (flat, MASS) keep it per shard.  (For those two GEMM-based batch
   kernels the *distances* may differ from the unsharded batch call in the
   final ulp — BLAS blocking depends on tile shape — exactly the caveat the
-  batch API already carries relative to per-query search; both executors use
-  the same chunk layout, so thread and process answers stay byte-identical to
-  each other.)
+  batch API already carries relative to per-query search; the chunk layout
+  does not depend on the executor.)
 * **range / epsilon queries**: same fan-out, with concatenated match lists
   (range) or merged bounded answer sets (the M-tree's epsilon search).
 
 Accounting follows the library's per-worker protocol: every task reads
-through a *forked* shard store (fresh counter) — in process mode the fork
-crosses a pickle boundary and its counter delta rides back in the task result
-— and the coordinating thread merges the counters after the join, so
-per-query stats are the exact sum of the per-shard stats in both modes.
+through a *forked* shard store (fresh counter) and returns the counter delta
+with its result; the coordinating thread merges the deltas after the join, so
+per-query stats are the exact sum of the per-shard stats.
 
 The wrapper is itself a :class:`SearchMethod`, registered under the name
 prefix ``"sharded:<inner>"`` (e.g. ``create_method("sharded:isax2+", store,
@@ -57,6 +66,7 @@ and persistence treat it like any other method.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -71,16 +81,9 @@ import numpy as np
 from ..core.answers import KnnAnswerSet, Neighbor, RangeAnswerSet
 from ..core.faults import take_kill_budget
 from ..core.integrity import CorruptionError
-from ..core.parallel import (
-    Executor,
-    ProcessSharedRadius,
-    SharedRadius,
-    TaskOutcome,
-    chunk_slices,
-    resolve_executor,
-    resolve_workers,
-)
+from ..core.parallel import Executor, chunk_slices, resolve_executor, resolve_workers
 from ..core.queries import KnnQuery
+from ..core.registry import create_method
 from ..core.stats import QueryStats
 from ..core.storage import SeriesStore
 from .base import SearchMethod, SearchResult
@@ -95,10 +98,10 @@ class SharedKnnAnswerSet(KnnAnswerSet):
     but the :attr:`worst_squared_distance` read by the shard's pruning logic
     is the minimum of the local threshold and the shared radius — any object
     with the :class:`~repro.core.parallel.SharedRadius` ``value``/``tighten``
-    API, including its shared-memory process variant.  The shared value is an
-    upper bound on the final merged k-th distance, so pruning against it never
-    discards a merged-top-k candidate; it only skips work another shard has
-    already made redundant.  Admissions publish the local threshold back.
+    API.  The shared value is an upper bound on the final merged k-th
+    distance, so pruning against it never discards a merged-top-k candidate;
+    it only skips work another shard has already made redundant.  Admissions
+    publish the local threshold back.
     """
 
     def __init__(self, k: int, shared) -> None:
@@ -117,6 +120,12 @@ class SharedKnnAnswerSet(KnnAnswerSet):
             if local < float("inf"):
                 self._shared.tighten(local)
         return admitted
+
+    def __reduce__(self):
+        # The radius matters only while shards search; a finished set crosses
+        # a pickle boundary as its (purely local) content.
+        state = {k: v for k, v in self.__dict__.items() if k != "_shared"}
+        return object.__new__, (KnnAnswerSet,), state
 
 
 @dataclass
@@ -137,33 +146,43 @@ class _Shard:
 
 
 # --------------------------------------------------------------------------- #
-# Process-mode shard tasks (coordinator side builds them, workers execute)
+# Shard tasks (the coordinator materialises them, workers execute them)
 # --------------------------------------------------------------------------- #
 
 
 @dataclass
 class _ShardTask:
-    """A picklable shard task plan: what to run, over which bytes.
+    """One unit of shard work: what to run, on which index, over which bytes.
 
-    Ships a method name + params + a by-path store handle — never raw data —
-    plus the operation payload (query arrays, k, shared-radius slot indices).
-    ``key`` identifies the shard's built index in the per-worker cache;
-    ``kill`` is the fault-injection flag consumed from the coordinator-side
-    ``kill_worker`` budget (the worker SIGKILLs itself on arrival).
+    ``store`` is a fresh fork of the shard's store and ``payload`` the
+    operation's arguments (query arrays, k, shared-radius handles).  The index
+    comes one of two ways.  In process, ``method`` is the shard's built index
+    by reference — such a task refuses to pickle.  Across a pickle boundary
+    the task is a *plan*: ``method_name`` + ``params`` + a by-path ``store``
+    handle — never raw data — and ``key`` names the shard's built index in
+    the per-worker cache; ``kill`` is the fault-injection flag consumed from
+    the coordinator-side ``kill_worker`` budget (the worker SIGKILLs itself on
+    arrival).  A ``"build"`` op always builds: a build the user asked for
+    reads and charges its data whatever a worker has cached, so construction
+    accounting is executor-independent.
     """
 
-    key: tuple
     store: SeriesStore
-    method_name: str
-    params: dict
     op: str
     payload: dict = field(default_factory=dict)
+    method: SearchMethod | None = None
+    key: tuple | None = None
+    method_name: str = ""
+    params: dict = field(default_factory=dict)
     kill: bool = False
-    #: force a rebuild even on a warm cache.  Explicit ``build()`` tasks set
-    #: this so build accounting is executor-independent (a build the user asked
-    #: for always reads and charges its data); query tasks leave it off and
-    #: reuse whatever the worker already built.
-    fresh: bool = False
+
+    def __getstate__(self) -> dict:
+        if self.method is not None:
+            raise TypeError(
+                "a shard task holding its index by reference is in-process only; "
+                "ship a plan (method_name + params + by-path store) instead"
+            )
+        return dict(self.__dict__)
 
 
 #: per-worker-process cache of built shard indexes.  Keyed by
@@ -198,30 +217,31 @@ def _content_key(store: SeriesStore) -> str:
     return digest.hexdigest()
 
 
-def _slot_answer_factory(slots: list):
-    """Answer-set factory wiring shared-radius slots to queries, in order.
+def _radius_answer_set(k: int, radius) -> KnnAnswerSet:
+    """An answer set pruning against ``radius``; ``None`` means local-only
+    pruning (the executor's radius table overflowed): more work, same answers."""
+    return KnnAnswerSet(k) if radius is None else SharedKnnAnswerSet(k, radius)
 
-    Mirrors the thread path's radius factory, including the contract check:
-    ``_batch_answer_sets`` implementations must create exactly one answer set
-    per query, in query order — violations raise rather than silently
-    crossing radii between queries.  ``None`` slots (slot-table overflow, or
-    no executor sharing) get a plain local answer set: less cross-shard
-    pruning, identical answers.
+
+def _batch_answer_factory(radii: list):
+    """Answer-set factory wiring per-query shared radii to queries, in order.
+
+    Relies on — and checks — the ``_batch_answer_sets`` contract: exactly one
+    answer set per query, in query order.  Violations raise rather than
+    silently crossing radii between queries.
     """
-    pending = iter(slots)
+    pending = iter(radii)
 
     def factory(k: int) -> KnnAnswerSet:
         try:
-            slot = next(pending)
+            radius = next(pending)
         except StopIteration:
             raise RuntimeError(
                 "_batch_answer_sets created more answer sets than "
                 "queries; implementations must create exactly one "
                 "answer set per query, in query order"
             ) from None
-        if slot is None:
-            return KnnAnswerSet(k)
-        return SharedKnnAnswerSet(k, ProcessSharedRadius(slot))
+        return _radius_answer_set(k, radius)
 
     return factory
 
@@ -236,17 +256,18 @@ def _method_blob(method: SearchMethod) -> bytes:
         method._base_store = base_store
 
 
-def _worker_method(task: _ShardTask) -> SearchMethod:
-    """The (cached) built index for ``task``'s shard, bound to the task store.
+def _task_method(task: _ShardTask) -> SearchMethod:
+    """The index ``task`` runs on: its own reference, or this worker's copy.
 
-    Cache hits rebind the cached method to the task's store — each task ships
-    a fresh fork (fresh counter, fresh fault incarnation), so retried tasks
-    re-roll transient faults exactly like thread-mode re-forks.
+    A plan resolves through the per-worker cache.  Hits rebind the cached
+    index to the task's store — each task ships a fresh fork (fresh counter,
+    fresh fault incarnation), so re-dispatched tasks re-roll transient faults;
+    misses, and every ``"build"``, construct and build the index here.
     """
-    method = None if task.fresh else _WORKER_METHODS.get(task.key)
+    if task.method is not None:
+        return task.method
+    method = None if task.op == "build" else _WORKER_METHODS.get(task.key)
     if method is None:
-        from ..core.registry import create_method
-
         method = create_method(task.method_name, task.store, **task.params)
         method.build()
         _WORKER_METHODS[task.key] = method
@@ -260,55 +281,52 @@ def _worker_method(task: _ShardTask) -> SearchMethod:
 
 
 def _execute_shard_task(task: _ShardTask):
-    """Process-pool entry point: run one shard task, return result + delta.
+    """Run one shard task — on a pool thread or in a pool process alike.
 
     Returns ``(result, counter_delta)`` where ``result`` is op-specific and
     ``counter_delta`` is the :class:`AccessCounter` accumulated by this task's
-    store — the cross-process half of the fork/merge accounting protocol.
-    Query deltas exclude any cache-miss build this task happened to pay
-    (matching thread mode, where builds charge at build time, not per query);
-    ``"build"`` tasks return the build's own delta.
+    store fork — the worker half of the fork/merge accounting protocol.
+    Query deltas exclude any cache-miss build a plan happened to pay (builds
+    charge at build time, not per query); ``"build"`` tasks return the
+    build's own delta.
     """
     if task.kill:
         os.kill(os.getpid(), signal.SIGKILL)
-    dispatch_counter = task.store.counter_snapshot()
-    method = _worker_method(task)
-    store = method.store
-    if task.op == "build":
-        result = (_method_blob(method), method.index_stats)
-        return result, store.since(dispatch_counter)
-    payload = task.payload
-    before = store.counter_snapshot()
-    local = QueryStats(dataset_size=store.count)
-    if task.op == "knn":
-        # Unlimited factory bound to the query's one slot — mirrors the
-        # thread path, where every answer set a shard makes for this query
-        # shares the same radius.
-        slot = payload["slots"][0]
-        if slot is None:
-            factory = KnnAnswerSet
+    store, op, payload = task.store, task.op, task.payload
+    dispatched = store.counter_snapshot()
+    method = _task_method(task)
+    factory = None
+    if op == "knn":
+        # Every answer set the shard makes for this query shares its radius.
+        factory = functools.partial(_radius_answer_set, radius=payload["radii"][0])
+    elif op == "batch":
+        factory = _batch_answer_factory(payload["radii"])
+    with method.execution_context(store=store, answer_factory=factory):
+        before = dispatched if op == "build" else store.counter_snapshot()
+        if op == "build":
+            # A plan's index was built on arrival and ships back store-detached;
+            # one held by reference arrives unbuilt and goes back as it is.
+            if task.method is None:
+                result = (_method_blob(method), method.index_stats)
+            else:
+                result = (method, method.build())
+        elif op == "batch":
+            result = method._batch_answer_sets(payload["queries"], payload["k"])
         else:
-            factory = lambda kk: SharedKnnAnswerSet(kk, ProcessSharedRadius(slot))  # noqa: E731
-        with method.execution_context(answer_factory=factory):
-            answers = method._knn_exact(payload["query"], int(payload["k"]), local)
-        result = (answers, local)
-    elif task.op == "batch":
-        factory = _slot_answer_factory(payload["slots"])
-        with method.execution_context(answer_factory=factory):
-            result = method._batch_answer_sets(payload["queries"], int(payload["k"]))
-    elif task.op == "range":
-        answers = method._range_exact(payload["query"], payload["radius"], local)
-        result = (answers, local)
-    elif task.op == "approx":
-        answers = method._knn_approximate(payload["query"], int(payload["k"]), local)
-        result = (answers, local)
-    elif task.op == "bounded":
-        answers = method._knn_bounded(
-            payload["query"], int(payload["k"]), local, payload["epsilon"]
-        )
-        result = (answers, local)
-    else:
-        raise ValueError(f"unknown shard task op {task.op!r}")
+            local = QueryStats(dataset_size=store.count)
+            if op == "knn":
+                answers = method._knn_exact(payload["query"], payload["k"], local)
+            elif op == "range":
+                answers = method._range_exact(payload["query"], payload["radius"], local)
+            elif op == "approx":
+                answers = method._knn_approximate(payload["query"], payload["k"], local)
+            elif op == "bounded":
+                answers = method._knn_bounded(
+                    payload["query"], payload["k"], local, payload["epsilon"]
+                )
+            else:
+                raise ValueError(f"unknown shard task op {op!r}")
+            result = (answers, local)
     return result, store.since(before)
 
 
@@ -331,19 +349,20 @@ class ShardedMethod(SearchMethod):
     executor:
         Fan-out backend: ``"thread"`` (default), ``"process"``, or an
         :class:`~repro.core.parallel.Executor` instance.  ``None`` defers to
-        the ``REPRO_EXECUTOR`` environment variable.  Process mode answers
-        byte-identically to thread mode; it wins when per-shard work is
-        Python-bound (tree descent) and loses on small collections or
-        GEMM-bound flat scans (task pickling + result shipping overhead).
+        the ``REPRO_EXECUTOR`` environment variable.  The executor only
+        decides where shard tasks run: answers, stats and counters are the
+        same on both.  Processes win when per-shard work is Python-bound
+        (tree descent) and lose on small collections or GEMM-bound flat scans
+        (task pickling + result shipping overhead).
     shard_attempts:
-        How many times a failed shard task is executed before it counts as
-        permanently failed (default 2: one retry).  Each attempt runs on a
-        *fresh* fork of the shard store, so a worker that died mid-query is
-        replaced wholesale rather than resumed — in process mode that
-        includes a worker process lost to SIGKILL, whose shard re-executes on
-        a fresh worker from a transparently respawned pool.
-        :class:`CorruptionError` short-circuits the retries — re-reading
-        damaged bytes cannot help.
+        How many times a failed shard task is dispatched before it counts as
+        permanently failed (default 2: one retry).  Each dispatch runs on a
+        *fresh* fork of the shard store, so a failed execution is thrown away
+        wholesale (partial counters included) rather than resumed — on the
+        process executor that includes a worker lost to SIGKILL, whose tasks
+        re-execute on a fresh worker from a transparently respawned pool.
+        :class:`CorruptionError` short-circuits the retries — the damage is
+        at rest, and re-reading the same bytes cannot help.
     allow_partial:
         Off (the default), a permanently failed shard fails the whole query
         with the shard's original exception.  On, the query returns a
@@ -441,17 +460,12 @@ class ShardedMethod(SearchMethod):
     def executor_kind(self) -> str:
         return self._executor_spec
 
-    def _use_process(self) -> bool:
-        return self.executor.kind == "process"
-
     # -- shard planning ---------------------------------------------------------
     @property
     def shard_count(self) -> int:
         return len(self._shards)
 
     def _plan_shards(self, store: SeriesStore, rows: int | None = None) -> list[_Shard]:
-        from ..core.registry import create_method
-
         total = store.count if rows is None else int(rows)
         shards: list[_Shard] = []
         # chunk_slices clamps the part count to the row count, so a collection
@@ -553,39 +567,23 @@ class ShardedMethod(SearchMethod):
             total.leaf_depths.extend(stats.leaf_depths)
 
     def _build_shards(self, shards: list[_Shard]) -> list:
-        """Build ``shards`` on the active executor; returns per-shard stats.
+        """Build ``shards`` on the executor; returns per-shard index stats.
 
-        Thread mode builds in place.  Process mode fans the builds out to the
-        pool — each worker builds its shard GIL-free, seeds its index cache,
-        and ships the built method back (pickled, store detached) so the
-        coordinator's copy is identical to a local build; counter deltas ride
-        the task results.  Build failures always raise (``allow_partial``
-        degrades *answers*; a missing shard index is a broken method, not a
-        degraded one), though killed workers still get their ``shard_attempts``
-        re-executions first.
+        Every dispatch builds a new index instance: in process it comes back
+        by reference; a pool process (which also seeds its index cache) ships
+        it back pickled, store detached, so the coordinator's copy is
+        identical to a local build.  Build failures always raise, after their
+        ``shard_attempts`` dispatches (``allow_partial`` degrades *answers*; a
+        missing shard index is a broken method, not a degraded one), and
+        builds run under no query deadline.
         """
-        if not shards:
-            return []
-        if self._use_process():
-            units = [(shard, "build", {}) for shard in shards]
-            successes = self._fan_out_process(units, stats=None, require_all=True)
-            stats_list = []
-            for shard, (blob, stats) in successes:
-                method = pickle.loads(blob)
-                method.store = shard.store
-                shard.method = method
-                stats_list.append(stats)
-            return stats_list
-
-        def build_one(shard: _Shard):
-            shard.method.build()
-            return shard.method.index_stats
-
-        shard_stats = self.executor.map(build_one, shards)
-        counter = self.store.counter
-        for shard in shards:
-            counter.merge(shard.store.counter)
-        return shard_stats
+        units = [(shard, "build", {}, ()) for shard in shards]
+        stats_list = []
+        for shard, (built, stats) in zip(shards, self._run_units(units, require_all=True)):
+            shard.method = pickle.loads(built) if isinstance(built, bytes) else built
+            shard.method.store = shard.store
+            stats_list.append(stats)
+        return stats_list
 
     def _collect_footprint(self) -> None:
         """Aggregated in :meth:`_build`; nothing further to collect."""
@@ -665,93 +663,7 @@ class ShardedMethod(SearchMethod):
         self._invalidate_process_state()
         self._build_shards(self._shards)
 
-    # -- shard task helpers -------------------------------------------------------
-    def _deadline(self) -> float | None:
-        """Absolute monotonic deadline for one fan-out, or ``None``."""
-        if self.deadline_seconds is None:
-            return None
-        return time.monotonic() + self.deadline_seconds
-
-    def _run_with_attempts(self, execute, shard: _Shard, deadline: float | None):
-        """Execute one shard task with re-fork-and-retry failure recovery.
-
-        Each attempt forks the shard store afresh — the forked reader *is* the
-        replaceable worker, so a failed execution is thrown away wholesale
-        (partial counters included) and re-run from clean state.  Counters are
-        only surfaced from the attempt that succeeds.  A
-        :class:`CorruptionError` stops the retries immediately: the damage is
-        at rest, and re-reading the same bytes cannot produce a different
-        digest.  Returns ``(result, counter, extra_attempts)``; raises the
-        last failure when every attempt is exhausted.
-        """
-        failure: Exception | None = None
-        for attempt in range(self.shard_attempts):
-            if attempt and deadline is not None and time.monotonic() >= deadline:
-                break
-            reader = shard.store.fork()
-            try:
-                result = execute(shard, reader)
-            except CorruptionError as exc:
-                failure = exc
-                break
-            # repro-lint: disable=no-bare-except -- sanctioned fault-capture
-            # seam: the failure is stored and re-raised after the retry loop
-            # (shard re-fork/re-execute up to shard_attempts, PR 7).
-            except Exception as exc:
-                failure = exc
-                continue
-            return result, reader.counter, attempt
-        raise failure if failure is not None else TimeoutError(
-            f"shard {shard.index} missed the fan-out deadline"
-        )
-
-    def _fan_out(self, run_shard, stats: QueryStats | None = None):
-        """Run ``run_shard(shard, reader)`` per shard; merge forked counters.
-
-        Every shard gets a forked store (private counter) for the duration of
-        the call; after the ordered join the forks are merged into the current
-        thread's store counter, so accounting rolls up exactly once whether
-        this search runs standalone or nested under an outer execution
-        context.
-
-        Failure semantics: a shard task that raises is re-executed on a fresh
-        fork up to ``shard_attempts`` times.  If it still fails (or misses the
-        per-query deadline), either the original exception propagates
-        (``allow_partial=False``) or the shard is dropped and the degradation
-        is recorded in ``stats``.  Returns ``(shard, result)`` pairs for the
-        shards that succeeded — callers must not assume one entry per shard.
-        """
-        deadline = self._deadline()
-
-        def one(shard: _Shard):
-            return self._run_with_attempts(run_shard, shard, deadline)
-
-        outcomes = self.executor.map_outcomes(one, self._shards, deadline=deadline)
-        counter = self.store.counter
-        successes = []
-        failed = 0
-        reexecutions = 0
-        for shard, outcome in zip(self._shards, outcomes):
-            if outcome.ok:
-                result, fork_counter, extra = outcome.value
-                counter.merge(fork_counter)
-                reexecutions += extra
-                successes.append((shard, result))
-            else:
-                failed += 1
-        if failed and not self.allow_partial:
-            error = next((o.error for o in outcomes if o.error is not None), None)
-            if error is not None:
-                raise error
-            raise TimeoutError(f"{failed} shard task(s) missed the fan-out deadline")
-        if stats is not None:
-            stats.retries += reexecutions
-            if failed:
-                stats.shards_failed += failed
-                stats.degraded = True
-        return successes
-
-    # -- process-mode dispatch ------------------------------------------------
+    # -- the shard-task pipeline ---------------------------------------------------
     def _task_key(self, shard: _Shard) -> tuple:
         if shard.task_key is None:
             shard.task_key = (
@@ -771,23 +683,16 @@ class ShardedMethod(SearchMethod):
         would pickle their raw rows — instead the full collection is spilled
         once to a temporary ``.npy`` and every shard ships as an mmap slice of
         the spill; the bytes are bit-identical and access accounting is pure
-        page geometry, so answers and counters are unchanged.  Each dispatch
-        forks the handle, giving retried tasks a fresh fault incarnation
-        (transients re-roll) while corruption — keyed to absolute file regions
-        — stays deterministic, exactly like thread-mode re-forks.
+        page geometry, so answers and counters are unchanged.
         """
         store = shard.store
-        if store.backend.source_path is not None:
-            return store.fork()
-        return self._spill_slice(shard).fork()
-
-    def _spill_slice(self, shard: _Shard) -> SeriesStore:
-        base = self._ensure_spill()
-        start = shard.offset
-        stop = start + int(shard.store.count)
-        return base.slice(
-            start, stop, name=f"{self.store.dataset.name}#shard{shard.index}"
-        )
+        if store.backend.source_path is None:
+            store = self._ensure_spill().slice(
+                shard.offset,
+                shard.offset + int(store.count),
+                name=f"{self.store.dataset.name}#shard{shard.index}",
+            )
+        return store.fork()
 
     def _ensure_spill(self) -> SeriesStore:
         store = self.store
@@ -809,296 +714,189 @@ class ShardedMethod(SearchMethod):
         return self._spill_store
 
     def _shard_task(self, shard: _Shard, op: str, payload: dict) -> _ShardTask:
+        """Materialise one unit for the executor this method holds.
+
+        Either way the task reads through a fresh fork: a re-dispatched unit
+        gets a new fault incarnation (transients re-roll) while corruption —
+        keyed to absolute file regions — stays deterministic.
+        """
+        if self.executor.in_process:
+            method = shard.method
+            if op == "build":
+                # A failed build can leave an index half-made, so every
+                # dispatch builds a new instance, as a pool process does.
+                method = create_method(self.inner_name, shard.store, **self.inner_params)
+            return _ShardTask(shard.store.fork(), op, payload, method=method)
         return _ShardTask(
+            self._task_store(shard),
+            op,
+            payload,
             key=self._task_key(shard),
-            store=self._task_store(shard),
             method_name=self.inner_name,
             params=dict(self.inner_params),
-            op=op,
-            payload=payload,
             kill=take_kill_budget(self.store.faults),
-            fresh=op == "build",
         )
 
-    def _process_outcomes(self, units: list, deadline: float | None):
-        """Dispatch ``(shard, op, payload)`` units with re-dispatch recovery.
+    def _run_units(self, units: list, require_all: bool = False) -> list:
+        """Dispatch ``(shard, op, payload, served)`` units; merge what comes back.
 
-        The process-mode counterpart of :meth:`_run_with_attempts`: a unit
-        whose task fails — including every task in flight when a worker
-        process is SIGKILLed and the pool breaks — is re-dispatched on a
-        fresh store fork (new fault incarnation) up to ``shard_attempts``
-        times; the executor transparently respawns a broken pool between
-        rounds.  :class:`CorruptionError` and deadline misses do not retry.
-        Returns ``(outcomes, extras)`` aligned with ``units``, where
-        ``extras`` counts the re-dispatches behind each eventual success.
+        ``served`` lists the :class:`QueryStats` of the queries a unit
+        answers for.  A unit whose task fails — including every task in
+        flight when a pool process is SIGKILLed and the pool breaks — is
+        re-dispatched as a fresh task up to ``shard_attempts`` times (the
+        executor respawns a broken pool between rounds); every re-dispatch
+        behind an eventual success counts into the served queries'
+        ``retries``.  :class:`CorruptionError` and deadline misses do not
+        retry.  Counter deltas of successful tasks are merged into the
+        current thread's store counter, so accounting rolls up exactly once
+        whether this runs standalone or nested under an outer execution
+        context.
+
+        A unit that never succeeded either fails the call with its original
+        exception (``require_all``, or ``allow_partial`` off) or marks its
+        served queries degraded.  Returns one result per unit, ``None`` for
+        the degraded ones.
         """
-        executor = self.executor
-        outcomes: list[TaskOutcome | None] = [None] * len(units)
-        extras = [0] * len(units)
+        deadline = None
+        if self.deadline_seconds is not None and not require_all:
+            deadline = time.monotonic() + self.deadline_seconds
+        outcomes: list = [None] * len(units)
+        redispatches = [0] * len(units)
         pending = list(range(len(units)))
         for attempt in range(self.shard_attempts):
             if attempt and deadline is not None and time.monotonic() >= deadline:
                 break
-            tasks = [
-                self._shard_task(units[i][0], units[i][1], units[i][2])
-                for i in pending
-            ]
-            results = executor.map_outcomes(
+            tasks = [self._shard_task(*units[i][:3]) for i in pending]
+            dispatched = self.executor.map_outcomes(
                 _execute_shard_task, tasks, deadline=deadline
             )
-            retry = []
-            for i, outcome in zip(pending, results):
+            failed = []
+            for i, outcome in zip(pending, dispatched):
                 outcomes[i] = outcome
-                if (
+                if not (
                     outcome.ok
                     or outcome.timed_out
                     or isinstance(outcome.error, CorruptionError)
                 ):
-                    continue
-                retry.append(i)
-            if not retry:
+                    failed.append(i)
+                    redispatches[i] += 1
+            if not failed:
                 break
-            for i in retry:
-                extras[i] += 1
-            pending = retry
-        return outcomes, [
-            extra if outcomes[i] is not None and outcomes[i].ok else 0
-            for i, extra in enumerate(extras)
-        ]
-
-    def _fan_out_process(
-        self,
-        units: list,
-        stats: QueryStats | None = None,
-        require_all: bool = False,
-    ):
-        """Process-mode :meth:`_fan_out`: same merge/degrade semantics.
-
-        Counter deltas from the task results are merged into the coordinating
-        store's counter (the pickle-boundary half of the fork/merge protocol);
-        failures degrade or raise exactly like the thread path.
-        """
-        deadline = self._deadline()
-        outcomes, extras = self._process_outcomes(units, deadline)
+            pending = failed
         counter = self.store.counter
-        successes = []
-        failed = 0
-        reexecutions = 0
-        for (shard, _op, _payload), outcome, extra in zip(units, outcomes, extras):
-            if outcome is not None and outcome.ok:
+        results = []
+        for (_shard, _op, _payload, served), outcome, extra in zip(
+            units, outcomes, redispatches
+        ):
+            if outcome.ok:
                 result, delta = outcome.value
                 counter.merge(delta)
-                reexecutions += extra
-                successes.append((shard, result))
-            else:
-                failed += 1
-        if failed and (require_all or not self.allow_partial):
-            error = next(
-                (o.error for o in outcomes if o is not None and o.error is not None),
-                None,
-            )
+                for stats in served:
+                    stats.retries += extra
+                results.append(result)
+                continue
+            for stats in served:
+                stats.shards_failed += 1
+                stats.degraded = True
+            results.append(None)
+        lost = [outcome for outcome in outcomes if not outcome.ok]
+        if lost and (require_all or not self.allow_partial):
+            error = next((o.error for o in lost if o.error is not None), None)
             if error is not None:
                 raise error
-            raise TimeoutError(f"{failed} shard task(s) missed the fan-out deadline")
-        if stats is not None:
-            stats.retries += reexecutions
-            if failed:
-                stats.shards_failed += failed
-                stats.degraded = True
-        return successes
+            raise TimeoutError(f"{len(lost)} shard task(s) missed the fan-out deadline")
+        return results
 
-    def _shard_results(self, run_shard, op: str, payload: dict, stats):
-        """``(shard, (answers, local_stats))`` pairs from the active executor."""
-        if self._use_process():
-            units = [(shard, op, payload) for shard in self._shards]
-            return self._fan_out_process(units, stats)
-        return self._fan_out(run_shard, stats)
+    def _search_shards(self, op: str, payload: dict, stats: QueryStats) -> list:
+        """One single-query op on every shard: ``(shard, answers)`` per
+        surviving shard, with the shards' per-query stats folded into ``stats``."""
+        units = [(shard, op, payload, (stats,)) for shard in self._shards]
+        pairs = []
+        for shard, result in zip(self._shards, self._run_units(units)):
+            if result is not None:
+                answers, local = result
+                self._merge_query_stats(stats, local)
+                pairs.append((shard, answers))
+        return pairs
+
+    def _merged_knn(self, op: str, payload: dict, stats: QueryStats) -> KnnAnswerSet:
+        merged = self._make_answer_set(payload["k"])
+        for shard, answers in self._search_shards(op, payload, stats):
+            merged.merge(answers, position_offset=shard.offset)
+        return merged
 
     # -- search -------------------------------------------------------------------
     def _knn_exact(self, query: np.ndarray, k: int, stats: QueryStats) -> KnnAnswerSet:
-        shared = SharedRadius()
-        slots = self.executor.acquire_radius_slots(1)
+        radii = self.executor.acquire_radii(1)
         try:
-
-            def run_shard(shard: _Shard, reader: SeriesStore):
-                local = QueryStats(dataset_size=reader.count)
-                factory = lambda kk: SharedKnnAnswerSet(kk, shared)  # noqa: E731
-                with shard.method.execution_context(store=reader, answer_factory=factory):
-                    answers = shard.method._knn_exact(query, k, local)
-                return answers, local
-
-            payload = {"query": query, "k": int(k), "slots": list(slots)}
-            pairs = self._shard_results(run_shard, "knn", payload, stats)
+            payload = {"query": query, "k": int(k), "radii": radii}
+            return self._merged_knn("knn", payload, stats)
         finally:
-            self.executor.release_radius_slots(slots)
-        merged = self._make_answer_set(k)
-        for shard, (answers, local) in pairs:
-            merged.merge(answers, position_offset=shard.offset)
-            self._merge_query_stats(stats, local)
-        return merged
+            self.executor.release_radii(radii)
 
     def _knn_approximate(
         self, query: np.ndarray, k: int, stats: QueryStats
     ) -> KnnAnswerSet:
         """ng-approximate search: one descent per shard, merged."""
-
-        def run_shard(shard: _Shard, reader: SeriesStore):
-            local = QueryStats(dataset_size=reader.count)
-            with shard.method.execution_context(store=reader):
-                answers = shard.method._knn_approximate(query, k, local)
-            return answers, local
-
-        payload = {"query": query, "k": int(k)}
-        merged = self._make_answer_set(k)
-        for shard, (answers, local) in self._shard_results(
-            run_shard, "approx", payload, stats
-        ):
-            merged.merge(answers, position_offset=shard.offset)
-            self._merge_query_stats(stats, local)
-        return merged
+        return self._merged_knn("approx", {"query": query, "k": int(k)}, stats)
 
     def _range_exact(
         self, query: np.ndarray, radius: float, stats: QueryStats
     ) -> RangeAnswerSet:
-        def run_shard(shard: _Shard, reader: SeriesStore):
-            local = QueryStats(dataset_size=reader.count)
-            with shard.method.execution_context(store=reader):
-                answers = shard.method._range_exact(query, radius, local)
-            return answers, local
-
         payload = {"query": query, "radius": float(radius)}
         merged = RangeAnswerSet(radius=radius)
-        for shard, (answers, local) in self._shard_results(
-            run_shard, "range", payload, stats
-        ):
+        for shard, answers in self._search_shards("range", payload, stats):
             merged.matches.extend(
                 Neighbor(distance=n.distance, position=n.position + shard.offset)
                 for n in answers.matches
             )
-            self._merge_query_stats(stats, local)
         return merged
 
     def _batch_answer_sets(self, queries: np.ndarray, k: int):
-        """Batch fan-out: (shard x query-chunk) tasks on one pool.
+        """Batch fan-out: one unit per (shard, query-chunk) pair.
 
         Chunking the batch adds inter-query parallelism on top of the shard
         fan-out when there are more workers than shards; each shard applies
         its own (possibly vectorized) batch path to every chunk.  Every query
         gets its own shared radius, so — exactly like the single-query path —
         an answer found for query ``j`` in one shard tightens every other
-        shard's pruning for query ``j``.  The radii are wired in through the
-        answer-set factory, relying on the ``_batch_answer_sets`` contract
-        that implementations create exactly one answer set per query, in
-        query order (violations raise rather than silently crossing radii
-        between queries).  Both executors use the same (shard x chunk) task
-        layout, so the GEMM tile shapes — and therefore the flat/MASS batch
-        distances — are identical in thread and process mode.
+        shard's pruning for query ``j``.  The chunk layout depends on the
+        worker and shard counts only, so the GEMM tile shapes — and therefore
+        the flat/MASS batch distances — are identical on every executor.
         """
         total = queries.shape[0]
         if total == 0:
             return [], []
         chunk_count = max(1, min(total, -(-self.workers // max(1, len(self._shards)))))
-        chunks = chunk_slices(total, chunk_count)
-        if self._use_process():
-            return self._batch_answer_sets_process(queries, k, chunks)
-        tasks = [(shard, sl) for sl in chunks for shard in self._shards]
-        radii = [SharedRadius() for _ in range(total)]
-
-        def radius_factory(sl: slice):
-            pending = iter(range(sl.start, sl.stop))
-
-            def factory(kk: int) -> SharedKnnAnswerSet:
-                try:
-                    j = next(pending)
-                except StopIteration:
-                    raise RuntimeError(
-                        "_batch_answer_sets created more answer sets than "
-                        "queries; implementations must create exactly one "
-                        "answer set per query, in query order"
-                    ) from None
-                return SharedKnnAnswerSet(kk, radii[j])
-
-            return factory
-
-        deadline = self._deadline()
-
-        def execute(task):
-            def attempt(shard: _Shard, reader: SeriesStore):
-                with shard.method.execution_context(
-                    store=reader, answer_factory=radius_factory(task[1])
-                ):
-                    return shard.method._batch_answer_sets(queries[task[1]], k)
-
-            return self._run_with_attempts(attempt, task[0], deadline)
-
-        outcomes = self.executor.map_outcomes(execute, tasks, deadline=deadline)
+        spans = [
+            (shard, sl)
+            for sl in chunk_slices(total, chunk_count)
+            for shard in self._shards
+        ]
         merged_sets = [self._make_answer_set(k) for _ in range(total)]
         merged_stats = [QueryStats(dataset_size=self.store.count) for _ in range(total)]
-        counter = self.store.counter
-        for (shard, sl), outcome in zip(tasks, outcomes):
-            if not outcome.ok:
-                if not self.allow_partial:
-                    if outcome.error is not None:
-                        raise outcome.error
-                    raise TimeoutError(
-                        f"shard {shard.index} missed the batch fan-out deadline"
-                    )
-                # Degrade exactly the queries this (shard, chunk) task served.
-                for j in range(sl.start, sl.stop):
-                    merged_stats[j].shards_failed += 1
-                    merged_stats[j].degraded = True
-                continue
-            (sets, stats_list), fork_counter, extra = outcome.value
-            counter.merge(fork_counter)
-            for within, (answers, shard_stats) in enumerate(zip(sets, stats_list)):
-                j = sl.start + within
-                merged_sets[j].merge(answers, position_offset=shard.offset)
-                self._merge_query_stats(merged_stats[j], shard_stats)
-                merged_stats[j].retries += extra
-        return merged_sets, merged_stats
-
-    def _batch_answer_sets_process(self, queries: np.ndarray, k: int, chunks):
-        """Process half of :meth:`_batch_answer_sets`: same tasks, same merge."""
-        total = queries.shape[0]
-        slots = self.executor.acquire_radius_slots(total)
+        radii = self.executor.acquire_radii(total)
         try:
             units = [
                 (
                     shard,
                     "batch",
-                    {"queries": queries[sl], "k": int(k), "slots": slots[sl]},
+                    {"queries": queries[sl], "k": int(k), "radii": radii[sl]},
+                    merged_stats[sl],  # a failed unit degrades exactly these queries
                 )
-                for sl in chunks
-                for shard in self._shards
+                for shard, sl in spans
             ]
-            deadline = self._deadline()
-            outcomes, extras = self._process_outcomes(units, deadline)
+            results = self._run_units(units)
         finally:
-            self.executor.release_radius_slots(slots)
-        task_spans = [(shard, sl) for sl in chunks for shard in self._shards]
-        merged_sets = [self._make_answer_set(k) for _ in range(total)]
-        merged_stats = [QueryStats(dataset_size=self.store.count) for _ in range(total)]
-        counter = self.store.counter
-        for (shard, sl), outcome, extra in zip(task_spans, outcomes, extras):
-            if outcome is None or not outcome.ok:
-                if not self.allow_partial:
-                    error = outcome.error if outcome is not None else None
-                    if error is not None:
-                        raise error
-                    raise TimeoutError(
-                        f"shard {shard.index} missed the batch fan-out deadline"
-                    )
-                for j in range(sl.start, sl.stop):
-                    merged_stats[j].shards_failed += 1
-                    merged_stats[j].degraded = True
+            self.executor.release_radii(radii)
+        for (shard, sl), result in zip(spans, results):
+            if result is None:
                 continue
-            (sets, stats_list), delta = outcome.value
-            counter.merge(delta)
-            for within, (answers, shard_stats) in enumerate(zip(sets, stats_list)):
-                j = sl.start + within
-                merged_sets[j].merge(answers, position_offset=shard.offset)
-                self._merge_query_stats(merged_stats[j], shard_stats)
-                merged_stats[j].retries += extra
+            for merged, stats, answers, shard_stats in zip(
+                merged_sets[sl], merged_stats[sl], *result
+            ):
+                merged.merge(answers, position_offset=shard.offset)
+                self._merge_query_stats(stats, shard_stats)
         return merged_sets, merged_stats
 
     def knn_epsilon(self, query: KnnQuery, epsilon: float = 0.0) -> SearchResult:
@@ -1120,20 +918,8 @@ class ShardedMethod(SearchMethod):
         stats = QueryStats(dataset_size=self.store.count)
         series = np.asarray(query.series, dtype=np.float64)
         start = time.perf_counter()
-
-        def run_shard(shard: _Shard, reader: SeriesStore):
-            local = QueryStats(dataset_size=reader.count)
-            with shard.method.execution_context(store=reader):
-                answers = shard.method._knn_bounded(series, query.k, local, epsilon)
-            return answers, local
-
         payload = {"query": series, "k": int(query.k), "epsilon": float(epsilon)}
-        merged = self._make_answer_set(query.k)
-        for shard, (answers, local) in self._shard_results(
-            run_shard, "bounded", payload, stats
-        ):
-            merged.merge(answers, position_offset=shard.offset)
-            self._merge_query_stats(stats, local)
+        merged = self._merged_knn("bounded", payload, stats)
         stats.cpu_seconds = time.perf_counter() - start
         self._charge_delta(stats, self.store.since(before))
         return self._package_result(merged, stats)

@@ -166,8 +166,14 @@ class TestCorruptionIsAlwaysCaught:
 
 class TestShardWorkerRecovery:
     def _sharded(self, dataset, **extra):
+        # These tests kill a worker by patching the shard's index object, which
+        # only reaches tasks that hold it by reference: pin the in-process
+        # executor whatever REPRO_EXECUTOR says (tests/test_executors.py drives
+        # the same recovery paths on both executors with fault plans).
         store = SeriesStore(dataset)
-        return _method("sharded:flat", store, shards=3, workers=2, **extra)
+        return _method(
+            "sharded:flat", store, shards=3, workers=2, executor="thread", **extra
+        )
 
     def _kill_next_calls(self, shard, count):
         """Make the shard's search raise for its next ``count`` calls."""

@@ -16,6 +16,7 @@ teardown shuts them down.
 """
 
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +30,12 @@ from repro import (
     load_method,
     save_method,
 )
-from repro.core.faults import FaultPlan, reset_crash_counters, take_kill_budget
+from repro.core.faults import (
+    FaultPlan,
+    RetryPolicy,
+    reset_crash_counters,
+    take_kill_budget,
+)
 from repro.core.parallel import (
     ProcessExecutor,
     ThreadExecutor,
@@ -271,48 +277,37 @@ class TestCounterConservation:
         slice + method signature) lets repeated query tasks reuse the built
         index instead of rebuilding: a warm cache hit reads nothing and
         rebinds the cached method to the task's fresh store fork.  Explicit
-        build tasks (``fresh=True``) always rebuild, so ``build()`` charges
-        its cost identically in both executors."""
-        from repro.indexes.sharded import _ShardTask, _WORKER_METHODS, _worker_method
+        build tasks always rebuild, so ``build()`` charges
+        its cost identically in both executors.  A task holding its index by
+        reference never touches the cache at all."""
+        from repro.indexes.sharded import _ShardTask, _WORKER_METHODS, _task_method
 
         values = random_walk_dataset(40, 24, seed=917).values
         base = SeriesStore(Dataset(values=values, name="wcache"))
         key = ("unit-test-key", 0, 40, "dstree", ())
         _WORKER_METHODS.pop(key, None)
         try:
-            task = _ShardTask(
-                key=key,
-                store=base.fork(),
-                method_name="dstree",
-                params={"leaf_capacity": 10},
-                op="knn",
-            )
-            built = _worker_method(task)  # cold: builds and reads every row
+            plan = dict(key=key, method_name="dstree", params={"leaf_capacity": 10})
+            task = _ShardTask(base.fork(), "knn", **plan)
+            built = _task_method(task)  # cold: builds and reads every row
             assert task.store.counter.series_read == values.shape[0]
 
-            warm = _ShardTask(
-                key=key,
-                store=base.fork(),
-                method_name="dstree",
-                params={"leaf_capacity": 10},
-                op="knn",
-            )
-            cached = _worker_method(warm)
+            warm = _ShardTask(base.fork(), "knn", **plan)
+            cached = _task_method(warm)
             assert cached is built  # cache hit: no rebuild...
             assert warm.store.counter.series_read == 0  # ...and no reads
             assert cached.store is warm.store  # rebound to the fresh fork
 
-            rebuild = _ShardTask(
-                key=key,
-                store=base.fork(),
-                method_name="dstree",
-                params={"leaf_capacity": 10},
-                op="build",
-                fresh=True,
-            )
-            rebuilt = _worker_method(rebuild)
+            rebuild = _ShardTask(base.fork(), "build", **plan)
+            rebuilt = _task_method(rebuild)
             assert rebuilt is not built  # explicit builds never shortcut
             assert rebuild.store.counter.series_read == values.shape[0]
+
+            by_reference = _ShardTask(base.fork(), "knn", method=built)
+            assert _task_method(by_reference) is built
+            assert _WORKER_METHODS[key] is rebuilt  # cache untouched
+            with pytest.raises(TypeError, match="in-process only"):
+                pickle.dumps(by_reference)
         finally:
             _WORKER_METHODS.pop(key, None)
 
@@ -486,6 +481,232 @@ class TestProcessResilience:
         reset_crash_counters()
 
 
+class TestOnePipeline:
+    """Both executors run the same tasks through the same dispatch, retry,
+    merge and degrade code; only the task's materialisation differs."""
+
+    #: per inner method: a transient plan that, with store-level retries off,
+    #: makes shard tasks fail often enough to re-dispatch and to degrade.
+    PLANS = {
+        "flat": "seed=11,transient=0.3",
+        "dstree": "seed=23,transient=0.1",
+        "m-tree": "seed=23,transient=0.1",
+    }
+
+    @pytest.fixture(scope="class")
+    def fault_record(self, tmp_path_factory):
+        """``record(executor, inner, allow_partial)``: what every query type
+        returned under the inner method's fault plan, memoised."""
+        path = tmp_path_factory.mktemp("one-pipeline") / "faulty.npy"
+        Dataset(values=_tie_values(), name="faulty").to_mmap(path)
+        batch = _tie_values()[[3, 50, 90, 130]] + 0.05
+        records = {}
+
+        def observe(out, op, call):
+            try:
+                results = call()
+            except OSError as exc:  # the injected fault, out of attempts
+                out.append((op, type(exc).__name__))
+                return
+            for result in results if isinstance(results, list) else [results]:
+                stats = result.stats
+                out.append(
+                    (
+                        op,
+                        [(n.position, float(n.distance).hex()) for n in result.neighbors],
+                        stats.retries,
+                        stats.shards_failed,
+                        stats.degraded,
+                    )
+                )
+
+        def record(executor, inner, allow_partial):
+            key = (executor, inner, allow_partial)
+            if key in records:
+                return records[key]
+            # workers=1 orders the fan-out and keeps one warm worker cache, so
+            # both executors issue the same reads under the same incarnations.
+            method = create_method(
+                f"sharded:{inner}",
+                SeriesStore(Dataset.from_file(path, name="faulty")),
+                shards=SHARDS,
+                workers=1,
+                executor=executor,
+                shard_attempts=2 if allow_partial else 8,
+                allow_partial=allow_partial,
+                **METHOD_PARAMS[inner],
+            )
+            method.build()
+            # Faults start after the build, and nothing below the shard task
+            # retries: a transient error fails the task that met it.
+            faulty = SeriesStore(
+                Dataset.from_file(path, name="faulty"),
+                faults=self.PLANS[inner],
+                retry=RetryPolicy(attempts=1),
+            )
+            method.store = faulty
+            out = []
+            for q in batch:
+                knn = KnnQuery(series=q, k=3)
+                observe(out, "knn", lambda: method.knn_exact(knn))
+                observe(
+                    out,
+                    "range",
+                    lambda: method.range_exact(RangeQuery(series=q, radius=2.0)),
+                )
+                if method.supports_approximate:
+                    observe(out, "approx", lambda: method.knn_approximate(knn))
+                if inner == "m-tree":
+                    observe(out, "epsilon", lambda: method.knn_epsilon(knn, 0.3))
+            observe(out, "batch", lambda: method.knn_exact_batch(batch, k=3))
+            counter = faulty.counter
+            out.append(
+                (
+                    "counter",
+                    counter.series_read,
+                    counter.bytes_read,
+                    counter.physical_bytes_read,
+                    counter.random_accesses,
+                    counter.sequential_pages,
+                )
+            )
+            method.close()
+            records[key] = out
+            return out
+
+        return record
+
+    @pytest.mark.parametrize("allow_partial", [False, True])
+    @pytest.mark.parametrize("inner", sorted(PLANS))
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_same_fault_plan_same_outcome(
+        self, fault_record, executor, inner, allow_partial
+    ):
+        """Same seeded plan => equal retries, shards_failed, degraded flags,
+        counter totals and byte-identical answers (or the same error) for
+        knn, range, approximate, epsilon and batch queries."""
+        other = "process" if executor == "thread" else "thread"
+        got = fault_record(executor, inner, allow_partial)
+        assert got == fault_record(other, inner, allow_partial)
+        answered = [entry for entry in got[:-1] if len(entry) == 5]
+        assert {"knn", "range", "batch"} <= {entry[0] for entry in answered}
+        assert sum(entry[2] for entry in answered) > 0  # re-dispatches happened
+        if allow_partial:
+            assert any(entry[4] for entry in answered)  # some answers degraded
+            assert not all(entry[4] for entry in answered)  # and some did not
+        else:
+            assert not any(entry[4] or entry[3] for entry in answered)
+
+    def test_in_process_tasks_never_pickle_spill_or_fingerprint(
+        self, monkeypatch, queries
+    ):
+        """On the thread executor a task holds the shard's index by reference:
+        no content fingerprint, no memory spill, no pickle — for builds (incl.
+        the first extend and a repartition) and every query type."""
+        from repro.indexes import sharded as sharded_module
+
+        def forbidden(name):
+            def spy(*args, **kwargs):
+                raise AssertionError(f"{name} reached from an in-process task")
+
+            return spy
+
+        monkeypatch.setattr(sharded_module, "_content_key", forbidden("_content_key"))
+        monkeypatch.setattr(
+            sharded_module.ShardedMethod, "_ensure_spill", forbidden("_ensure_spill")
+        )
+        monkeypatch.setattr(sharded_module.pickle, "dumps", forbidden("pickle.dumps"))
+        values = _tie_values()
+        store = SeriesStore(Dataset(values=values, name="by-ref"))  # would spill
+        method = create_method(
+            "sharded:m-tree", store, shards=SHARDS, workers=2, executor="thread",
+            node_capacity=8,
+        )
+        method.build()
+        plain = create_method(
+            "m-tree", SeriesStore(Dataset(values=values, name="by-ref")), node_capacity=8
+        )
+        plain.build()
+        for q in queries:
+            knn = KnnQuery(series=q, k=3)
+            assert_identical(plain.knn_exact(knn), method.knn_exact(knn))
+            assert_identical(plain.knn_epsilon(knn, 0.0), method.knn_epsilon(knn, 0.0))
+            ranged = RangeQuery(series=q, radius=3.0)
+            assert (
+                plain.range_exact(ranged).positions()
+                == method.range_exact(ranged).positions()
+            )
+        for e, g in zip(plain.knn_exact_batch(queries, k=3), method.knn_exact_batch(queries, k=3)):
+            assert_identical(e, g)
+        method.repartition()
+        assert_identical(
+            plain.knn_exact(KnnQuery(series=queries[0], k=3)),
+            method.knn_exact(KnnQuery(series=queries[0], k=3)),
+        )
+        method.close()
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_every_build_dispatch_builds_a_new_index(self, queries, executor):
+        """A build task never re-enters an index a previous dispatch touched
+        (the M-tree's insert loop is not re-entrant): a second ``build()`` — or
+        a re-dispatched build — starts from a fresh instance on both executors."""
+        values = _tie_values()
+        method = create_method(
+            "sharded:m-tree",
+            SeriesStore(Dataset(values=values, name="rebuild")),
+            shards=2,
+            workers=2,
+            executor=executor,
+            node_capacity=8,
+        )
+        method.build()
+        first = [shard.method for shard in method._shards]
+        method.build()
+        assert all(a is not b.method for a, b in zip(first, method._shards))
+        plain = create_method(
+            "m-tree", SeriesStore(Dataset(values=values, name="rebuild")), node_capacity=8
+        )
+        plain.build()
+        for q in queries:
+            knn = KnnQuery(series=q, k=3)
+            assert_identical(plain.knn_exact(knn), method.knn_exact(knn))
+        method.close()
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_straggler_of_a_timed_out_query_cannot_prune_the_next(
+        self, tmp_path, executor
+    ):
+        """Query 1 misses its deadline on every shard and comes back degraded
+        while its tasks are still running; they finish — and publish *their*
+        k-th distance (zero: query 1 is a row of the collection) — during
+        query 2, which must still return the exact answer."""
+        values = _tie_values()
+        path = tmp_path / "slow.npy"
+        Dataset(values=values, name="slow").to_mmap(path)
+        # Every read sleeps: any task outlives a 0.1 s deadline.
+        slow = FaultPlan(seed=3, latency=1.0, latency_seconds=0.3)
+        method = create_method(
+            "sharded:flat",
+            SeriesStore(Dataset.from_file(path, name="slow"), faults=slow),
+            shards=2,
+            workers=2,
+            executor=executor,
+            allow_partial=True,
+            deadline_seconds=0.1,
+        )
+        method.build()
+        first = method.knn_exact(KnnQuery(series=values[5], k=1))
+        assert first.stats.degraded and first.stats.shards_failed == 2
+        method.deadline_seconds = None
+        far = KnnQuery(series=values[100] + 5.0, k=3)
+        second = method.knn_exact(far)
+        plain = create_method("flat", SeriesStore(Dataset(values=values, name="slow")))
+        plain.build()
+        assert not second.stats.degraded
+        assert_identical(plain.knn_exact(far), second)
+        method.close()
+
+
 class TestExecutorSeam:
     """The seam itself: resolution, env control, slots, plumbing, persistence."""
 
@@ -519,32 +740,74 @@ class TestExecutorSeam:
 
     def test_radius_slot_pool_and_overflow(self):
         executor = ProcessExecutor(workers=1, radius_slots=2)
-        slots = executor.acquire_radius_slots(3)
-        live = [s for s in slots if s is not None]
-        assert len(live) == 2  # table exhausted: third slot is local-only
-        assert slots.count(None) == 1
-        for slot in live:
-            assert executor.radius_value(slot) == float("inf")
-        executor.release_radius_slots(slots)
-        assert sorted(executor.acquire_radius_slots(2)) == sorted(live)
+        radii = executor.acquire_radii(3)
+        live = [r for r in radii if r is not None]
+        assert len(live) == 2  # table exhausted: the third query prunes locally
+        assert radii[2] is None
+        for radius in live:
+            assert radius.value == float("inf")
+        assert live[0].tighten(4.0) and not live[0].tighten(5.0)
+        assert (live[0].value, live[1].value) == (4.0, float("inf"))
+        # The handle ships its slot index, never its cells or lock.
+        assert live[0].__reduce__()[1] == (live[0].index,)
+        executor.release_radii(radii)
+        again = executor.acquire_radii(2)
+        assert sorted(r.index for r in again) == sorted(r.index for r in live)
+        assert all(r.value == float("inf") for r in again)  # reset on acquire
         executor.close()
+
+    def test_radius_slot_is_held_back_while_a_straggler_runs(self):
+        """A slot released while a task that missed its fan-out's deadline is
+        still running must not reach the next query: the straggler still holds
+        the handle and would tighten the new owner's radius with *its* k-th
+        distance (silently dropping true neighbours)."""
+        executor = ProcessExecutor(workers=1, radius_slots=1)
+        try:
+            executor.map_outcomes(time.sleep, [0.0])  # warm the pool
+            (held,) = executor.acquire_radii(1)
+            (outcome,) = executor.map_outcomes(
+                time.sleep, [0.5], deadline=time.monotonic() + 0.05
+            )
+            assert outcome.timed_out
+            executor.release_radii([held])
+            # The fan-out returned, its task did not: the only slot stays out
+            # of circulation and the next query prunes locally.
+            assert executor.acquire_radii(1) == [None]
+            executor.release_radii([None])
+            held.tighten(0.25)  # the straggler publishes into its own slot
+            # One worker: this returns once the straggler ahead of it is done.
+            executor.map_outcomes(time.sleep, [0.0])
+            (fresh,) = executor.acquire_radii(1)
+            assert fresh is not None and fresh.index == held.index
+            assert fresh.value == float("inf")
+        finally:
+            executor.close()
 
     def test_worker_slot_factory_enforces_batch_contract(self):
         """The worker-side answer-set factory raises when an inner batch path
-        creates more answer sets than queries (the thread path's contract
-        check, mirrored across the pickle boundary)."""
-        from repro.indexes.sharded import _slot_answer_factory
+        creates more answer sets than queries, on either executor."""
+        from repro.indexes.sharded import _batch_answer_factory
 
-        factory = _slot_answer_factory([None, None])
-        factory(3)
-        factory(3)
+        (radius,) = ThreadExecutor(1).acquire_radii(1)
+        factory = _batch_answer_factory([None, radius])
+        assert factory(3).worst_squared_distance == float("inf")
+        shared = factory(1)
+        shared.offer(0, 2.0)
+        assert radius.value == 2.0  # the second query's set publishes to its radius
         with pytest.raises(RuntimeError, match="one answer set per query"):
             factory(3)
 
-    def test_thread_executor_has_no_slots(self):
+    def test_thread_executor_radii_are_never_reused(self):
+        """In-process cells are fresh per fan-out and unbounded in number, so
+        a handle kept past its release can never reach a later query."""
         executor = ThreadExecutor(4)
-        assert executor.acquire_radius_slots(3) == [None, None, None]
-        executor.release_radius_slots([None, None, None])
+        radii = executor.acquire_radii(600)
+        assert all(r is not None and r.value == float("inf") for r in radii)
+        stale = radii[0]
+        executor.release_radii(radii)
+        (fresh,) = executor.acquire_radii(1)
+        assert stale.tighten(0.25)
+        assert fresh.value == float("inf")
         executor.close()
 
     def test_engine_and_runner_plumbing(self, queries):

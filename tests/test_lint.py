@@ -299,6 +299,35 @@ def test_pickle_boundary_flags_ndarray_fields_on_task_plans():
     assert "ship a by-path store handle" in findings[0].message
 
 
+def test_pickle_boundary_requires_a_guard_on_live_references_in_task_plans():
+    plan = """
+        class _ShardTask:
+            store: SeriesStore
+            method: SearchMethod | None = None
+        """
+    findings, _ = lint(plan, "repro/indexes/fake_sharded.py")
+    assert rule_names(findings) == {"pickle-boundary"}
+    assert "live index by reference" in findings[0].message
+    guarded = plan + """
+            def __getstate__(self):
+                raise TypeError("in-process only")
+        """
+    clean, _ = lint(guarded, "repro/indexes/fake_sharded.py")
+    assert clean == []
+
+
+def test_pickle_boundary_covers_the_shared_radius_handle():
+    findings, _ = lint(
+        """
+        class SharedRadius:
+            def __init__(self, cells, lock, index):
+                self._cells, self._lock, self.index = cells, lock, index
+        """,
+        "repro/core/fake_parallel.py",
+    )
+    assert rule_names(findings) == {"pickle-boundary"}
+
+
 # --------------------------------------------------------------------------- #
 # counter-conservation
 # --------------------------------------------------------------------------- #

@@ -26,7 +26,7 @@ from repro import (
 )
 from repro.core.answers import KnnAnswerSet
 from repro.core.buffer import BufferPool
-from repro.core.parallel import SharedRadius, chunk_slices, parallel_map, resolve_workers
+from repro.core.parallel import ThreadExecutor, chunk_slices, parallel_map, resolve_workers
 from repro.core.queries import KnnQuery, RangeQuery
 from repro.indexes.sharded import ShardedMethod
 from repro.workloads import random_walk_dataset, synth_rand_workload
@@ -276,6 +276,37 @@ class TestWorkerInvarianceAndStats:
         for result in batch:
             assert result.distances()[0] == 0.0
             assert result.stats.series_examined < tie_dataset.count / 2
+
+    def test_large_thread_batches_keep_cross_shard_pruning(self, tie_dataset):
+        """In-process radii are not a bounded table: query 512 and beyond of
+        one batch prune across shards exactly as they would in a small batch
+        (a 512-slot table would hand them ``None`` and local-only pruning)."""
+        sharded = create_method(
+            "sharded:dstree",
+            SeriesStore(tie_dataset),
+            shards=2,
+            workers=1,  # ordered fan-out: the work per query is deterministic
+            executor="thread",
+            leaf_capacity=10,
+        )
+        sharded.build()
+        rng = np.random.default_rng(67)
+        rows = rng.integers(0, tie_dataset.count, size=600)
+        batch = tie_dataset.values[rows] + 0.01 * rng.standard_normal((600, 32))
+        big = sharded.knn_exact_batch(batch, k=1)
+        tail = sharded.knn_exact_batch(batch[512:], k=1)
+        assert len(tail) == 88
+        assert [r.stats.series_examined for r in big[512:]] == [
+            r.stats.series_examined for r in tail
+        ]
+        # ... and that work is pruned work: less than the two shards, searched
+        # independently, examine for the same queries.
+        independent = sum(
+            r.stats.series_examined
+            for shard in sharded._shards
+            for r in shard.method.knn_exact_batch(batch[512:], k=1)
+        )
+        assert sum(r.stats.series_examined for r in tail) < independent
 
     def test_batch_factory_contract_violation_raises(self, tie_dataset):
         """An inner batch path creating extra answer sets must fail loudly.
@@ -548,7 +579,8 @@ class TestParallelPrimitives:
             parallel_map(lambda x: (_ for _ in ()).throw(RuntimeError("boom")), [1, 2], 2)
 
     def test_shared_radius_monotone_under_threads(self):
-        shared = SharedRadius()
+        (shared,) = ThreadExecutor(4).acquire_radii(1)
+        assert shared.value == float("inf")
         values = [float(v) for v in np.random.default_rng(5).random(400) * 100]
 
         def publish(chunk):
