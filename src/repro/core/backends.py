@@ -171,10 +171,6 @@ class StorageBackend(abc.ABC):
         """The rows at ``positions`` (a copy, by fancy-indexing semantics)."""
         return self.values[positions]
 
-    def row(self, position: int) -> np.ndarray:
-        """One row as a zero-copy view."""
-        return self.values[position]
-
     def get(self, key) -> np.ndarray:
         """Arbitrary ndarray indexing (the store's unaccounted ``peek``)."""
         return self.values[key]
@@ -646,9 +642,6 @@ class CompressedBackend(StorageBackend):
             )
         return out
 
-    def row(self, position: int) -> np.ndarray:
-        return self.read_rows(int(position), int(position) + 1)[0]
-
     def get(self, key) -> np.ndarray:
         # Serve the common access shapes block-at-a-time so `peek` never
         # materializes the collection; anything fancier falls back to values.
@@ -658,7 +651,7 @@ class CompressedBackend(StorageBackend):
                 return self.read_rows(start, stop)
             return self.take(np.arange(start, stop, step))
         if isinstance(key, (int, np.integer)):
-            return self.row(int(key))
+            return self.read_rows(int(key), int(key) + 1)[0]
         arr = np.asarray(key)
         if arr.ndim == 1 and arr.dtype != np.bool_:
             return self.take(arr.astype(np.int64))

@@ -274,7 +274,7 @@ class _Incarnations:
 class FaultInjectingBackend(StorageBackend):
     """Wrap any backend and inject the faults a :class:`FaultPlan` describes.
 
-    Read primitives (``read_rows``/``take``/``row``/``get`` and the
+    Read primitives (``read_rows``/``take``/``get`` and the
     compressed backend's ``quantized_parts``) pass through the plan;
     geometry, accounting, slicing, and release delegate untouched, so the
     wrapper is invisible to counters.  ``fork()`` wraps a fork of the inner
@@ -402,14 +402,6 @@ class FaultInjectingBackend(StorageBackend):
                 out[mask] = bits.view(np.float32)
             data = data if out is None else out
         return data
-
-    def row(self, position: int) -> np.ndarray:
-        site = (int(position),)
-        self._enter("row", site)
-        data = self.inner.row(position)
-        return self._corrupt(
-            data.reshape(1, -1), self._file_row(int(position))
-        ).reshape(data.shape)
 
     def get(self, key) -> np.ndarray:
         self._enter("get", (repr(np.asarray(key).tolist()) if isinstance(key, np.ndarray) else repr(key),))

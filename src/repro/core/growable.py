@@ -343,12 +343,9 @@ class GrowableBackend(StorageBackend):
         out.setflags(write=False)
         return out
 
-    def row(self, position: int) -> np.ndarray:
-        return self.read_rows(int(position), int(position) + 1)[0]
-
     def get(self, key) -> np.ndarray:
         if isinstance(key, (int, np.integer)):
-            return self.row(int(key))
+            return self.read_rows(int(key), int(key) + 1)[0]
         if isinstance(key, slice):
             start, stop, step = key.indices(self.count)
             if step == 1:

@@ -41,15 +41,11 @@ __all__ = [
     "DatasetFileError",
 ]
 
-#: version 2 added the ``storage`` provenance block; version 3 added the
-#: ``state_checksum`` over the pickled method state; version 4 records live
-#: (growable) stores — the segment manifest, WAL size, and the committed-row
-#: *watermark* at save time, so a reloaded index reopens exactly the prefix
-#: it was built over even if the store kept growing.  Older files still load
-#: (version-1 files cannot re-open their dataset; pre-3 files skip the
-#: payload-integrity check because no digest was recorded).
-_FORMAT_VERSION = 4
-_SUPPORTED_VERSIONS = (1, 2, 3, 4)
+#: The one envelope version this build reads and writes.  Version 5 pickles
+#: iSAX2+ with the shared ``IsaxTree`` (``method.tree``); a version-4 state
+#: would unpickle without it and fail at the first query, so every other
+#: version is refused at load.
+_FORMAT_VERSION = 5
 
 
 class DatasetFileError(ValueError):
@@ -102,11 +98,11 @@ class IndexEnvelope:
     dataset_fingerprint: str
     method_state: bytes
     #: storage provenance: backend kind, source path, page_bytes, geometry
-    #: (``SeriesStore.describe_storage``).  Empty for version-1 files.
+    #: (``SeriesStore.describe_storage``).
     storage: dict = field(default_factory=dict)
     #: CRC-32 of ``method_state``; lets :func:`load_method` refuse a silently
     #: truncated or bit-rotted index file with a typed error instead of
-    #: unpickling garbage.  Zero on pre-version-3 files (check skipped).
+    #: unpickling garbage.
     state_checksum: int = 0
 
     def summary(self) -> dict:
@@ -116,11 +112,10 @@ class IndexEnvelope:
             "fingerprint": self.dataset_fingerprint[:12],
             "bytes": len(self.method_state),
         }
-        storage = getattr(self, "storage", None) or {}
-        if storage:
-            info["backend"] = storage.get("kind")
-            if storage.get("source_path"):
-                info["source_path"] = storage["source_path"]
+        if self.storage:
+            info["backend"] = self.storage.get("kind")
+            if self.storage.get("source_path"):
+                info["source_path"] = self.storage["source_path"]
         return info
 
 
@@ -240,11 +235,11 @@ def load_method(
     constructor — zero is an error, not "use the default"); ``backend``
     overrides the backend choice (``"memory"``/``"mmap"`` or an instance).
 
-    Raises ``ValueError`` when the file was produced by an unsupported format
-    version, the dataset does not match the fingerprint recorded at save
-    time, or no dataset is available; :class:`DatasetFileError` (a
-    ``ValueError``) when the recorded dataset file is missing or smaller than
-    the recorded geometry requires; and
+    Raises ``ValueError`` when the file was produced by any other format
+    version (indexes are rebuilt, not migrated), the dataset does not match
+    the fingerprint recorded at save time, or no dataset is available;
+    :class:`DatasetFileError` (a ``ValueError``) when the recorded dataset
+    file is missing or smaller than the recorded geometry requires; and
     :class:`~repro.core.integrity.CorruptionError` when the pickled method
     state does not match the checksum recorded at save time (truncated or
     bit-rotted index file).
@@ -255,24 +250,24 @@ def load_method(
         envelope = pickle.load(handle)
     if not isinstance(envelope, IndexEnvelope):
         raise ValueError("not an index file produced by repro.core.persistence")
-    if envelope.format_version not in _SUPPORTED_VERSIONS:
+    if envelope.format_version != _FORMAT_VERSION:
         raise ValueError(
-            f"unsupported index format version {envelope.format_version} "
-            f"(expected one of {_SUPPORTED_VERSIONS})"
+            f"{path}: index format version {envelope.format_version} is not "
+            f"readable by this build (it reads version {_FORMAT_VERSION}); "
+            "rebuild and re-save the index"
         )
-    recorded = int(getattr(envelope, "state_checksum", 0) or 0)
-    if recorded:
-        actual = checksum(envelope.method_state)
-        if actual != recorded:
-            raise CorruptionError(
-                f"{path}: index state checksum mismatch (expected "
-                f"{recorded:#010x}, got {actual:#010x}); the file is "
-                "truncated or corrupted — rebuild and re-save the index",
-                path=str(path),
-                expected=recorded,
-                actual=actual,
-            )
-    storage = getattr(envelope, "storage", None) or {}
+    recorded = int(envelope.state_checksum)
+    actual = checksum(envelope.method_state)
+    if actual != recorded:
+        raise CorruptionError(
+            f"{path}: index state checksum mismatch (expected "
+            f"{recorded:#010x}, got {actual:#010x}); the file is "
+            "truncated or corrupted — rebuild and re-save the index",
+            path=str(path),
+            expected=recorded,
+            actual=actual,
+        )
+    storage = envelope.storage
     if dataset is None:
         source = storage.get("source_path")
         if not source:

@@ -216,19 +216,6 @@ class SeriesStore:
 
         return self._retrying(op)
 
-    def _row(self, position: int) -> np.ndarray:
-        """Retried ``backend.row`` with shape validation."""
-
-        def op():
-            row = self.backend.row(position)
-            if int(row.shape[-1]) != self.length:
-                raise TransientIOError(
-                    f"short read: row {position} has {int(row.shape[-1])} points"
-                )
-            return row
-
-        return self._retrying(op)
-
     def _verify_range(self, start: int, stop: int) -> None:
         """Checksum-verify the manifest blocks covering rows ``start:stop``.
 
@@ -481,16 +468,9 @@ class SeriesStore:
         return self._serve(lambda: self._read_rows(start, stop))
 
     def read_one(self, position: int) -> np.ndarray:
-        """Random access to a single series (a read-only view, not a copy)."""
-        self.counter.random_accesses += 1
-        self.counter.sequential_pages += 1
-        self.counter.series_read += 1
-        self.counter.bytes_read += self._series_bytes
-        self.counter.physical_bytes_read += self.backend.physical_bytes(
-            position, position + 1
-        )
-        self._verify_range(position, position + 1)
-        return self._serve(lambda: self._row(position))
+        """Random access to a single series (a read-only view, not a copy):
+        the one-row :meth:`read_contiguous`."""
+        return self.read_contiguous(position, position + 1)[0]
 
     def peek(self, positions: np.ndarray | list[int] | slice) -> np.ndarray:
         """Access series *without* accounting.

@@ -123,15 +123,7 @@ def leaf_positions(leaf) -> list[int]:
 def _collect_leaves(method):
     """(leaf, bound_fn) pairs for tree-based methods; empty list otherwise."""
     name = getattr(method, "name", "")
-    if name in ("isax2+",):
-        leaves = []
-        for child in method.root.children.values():
-            leaves.extend(child.leaves())
-        fn = lambda q, leaf: method.summarizer.mindist_paa_to_word(  # noqa: E731
-            method.summarizer.paa.transform(q), leaf.word
-        )
-        return [(leaf, fn) for leaf in leaves if leaf.size > 0]
-    if name == "ads+":
+    if name in ("isax2+", "ads+"):
         leaves = method.tree.leaves()
         fn = lambda q, leaf: method.summarizer.mindist_paa_to_word(  # noqa: E731
             method.summarizer.paa.transform(q), leaf.word

@@ -1,6 +1,5 @@
-"""ADS+ adaptive data series index."""
+"""ADS+: adaptive data series index with the SIMS exact-search algorithm."""
 
 from .index import AdsPlusIndex
-from .tree import AdsTree
 
-__all__ = ["AdsPlusIndex", "AdsTree"]
+__all__ = ["AdsPlusIndex"]

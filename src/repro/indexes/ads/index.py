@@ -1,8 +1,10 @@
 """ADS+ : the adaptive data series index, with the SIMS exact algorithm.
 
-ADS+ builds an iSAX tree over the *summaries only*: leaves are not materialized
-with raw data at build time, which makes index construction extremely cheap
-(one sequential pass to compute summaries).  Exact queries use SIMS
+ADS+ builds the iSAX2+ tree (the shared
+:class:`~repro.indexes.isax.tree.IsaxTree`) over the *summaries only*: leaves
+are not materialized with raw data at build time, so no build buffer is
+modelled and index construction is extremely cheap (one sequential pass to
+compute summaries).  Exact queries use SIMS
 (skip-sequential scan): an ng-approximate tree descent produces an initial
 best-so-far, then the lower bound between the query and the full-resolution
 iSAX summary of *every* series is evaluated; the raw file is finally scanned
@@ -20,7 +22,7 @@ from ...core.stats import QueryStats
 from ...core.storage import SeriesStore
 from ...summarization.sax import IsaxSummarizer, summarize_stream, symbolize_batch
 from ..base import SearchMethod
-from .tree import AdsTree
+from ..isax.tree import IsaxTree
 
 __all__ = ["AdsPlusIndex"]
 
@@ -39,9 +41,6 @@ class AdsPlusIndex(SearchMethod):
     leaf_capacity:
         Leaf threshold of the adaptive tree.  As the paper notes, the leaf size
         affects indexing but barely affects SIMS query answering.
-    build_mode:
-        ``"bulk"`` (default) partitions the summary matrix with array
-        operations; ``"incremental"`` forces the per-series insert loop.
     build_chunk_rows:
         Rows per streamed summarization chunk during construction (``None`` =
         the store's default); never changes the built tree.
@@ -49,7 +48,6 @@ class AdsPlusIndex(SearchMethod):
 
     name = "ads+"
     supports_approximate = True
-    supports_bulk_build = True
 
     def __init__(
         self,
@@ -57,21 +55,20 @@ class AdsPlusIndex(SearchMethod):
         segments: int = 16,
         cardinality: int = 256,
         leaf_capacity: int = 100,
-        build_mode: str = "bulk",
         build_chunk_rows: int | None = None,
     ) -> None:
-        super().__init__(store, build_mode=build_mode, build_chunk_rows=build_chunk_rows)
+        super().__init__(store, build_chunk_rows=build_chunk_rows)
         segments = min(segments, store.length)
         self.summarizer = IsaxSummarizer(store.length, segments, cardinality)
         self.segments = segments
         self.cardinality = cardinality
         self.leaf_capacity = leaf_capacity
-        self.tree = AdsTree(self.summarizer, leaf_capacity)
+        self.tree = IsaxTree(self.summarizer, leaf_capacity)
         self._paa: np.ndarray | None = None
         self._symbols: np.ndarray | None = None
 
     # -- construction -------------------------------------------------------------
-    def _summarize_collection(self) -> None:
+    def _build(self) -> None:
         # One streamed sequential pass (accounted exactly like a scan())
         # computes both summary matrices SIMS keeps — the raw float64
         # collection is never resident, only one chunk of it.
@@ -81,15 +78,7 @@ class AdsPlusIndex(SearchMethod):
             self.store.count,
             symbols=True,
         )
-
-    def _bulk_build(self) -> None:
-        self._summarize_collection()
         self.tree.bulk_insert(self._paa)
-
-    def _incremental_build(self) -> None:
-        self._summarize_collection()
-        for position in range(self.store.count):
-            self.tree.insert_block(position, self._paa[position : position + 1])
 
     def _insert_block(self, start: int, block: np.ndarray) -> None:
         """Summarize the new rows once, grow the full-resolution summary
@@ -106,17 +95,9 @@ class AdsPlusIndex(SearchMethod):
         self.tree.insert_block(start, paa)
 
     def _collect_footprint(self) -> None:
-        leaves = self.tree.leaves()
-        self.index_stats.total_nodes = self.tree.node_count()
-        self.index_stats.leaf_nodes = len(leaves)
-        self.index_stats.leaf_fill_factors = [
-            leaf.size / self.leaf_capacity for leaf in leaves
-        ]
-        self.index_stats.leaf_depths = [leaf.depth for leaf in leaves]
+        total = self.tree.record_shape(self.index_stats)
         per_series = self.segments * (8 + 2)
-        self.index_stats.memory_bytes = (
-            self.store.count * per_series + self.tree.node_count() * 48
-        )
+        self.index_stats.memory_bytes = self.store.count * per_series + total * 48
         # ADS+ keeps only summaries on disk next to the raw file.
         self.index_stats.disk_bytes = self.store.count * self.segments * 2
 
@@ -158,6 +139,5 @@ class AdsPlusIndex(SearchMethod):
             cardinality=self.cardinality,
             leaf_capacity=self.leaf_capacity,
             exact_algorithm="SIMS",
-            build_mode=self.build_mode,
         )
         return info

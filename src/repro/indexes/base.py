@@ -5,6 +5,11 @@ answers exact (and, where supported, ng-approximate) whole-matching k-NN
 queries, while reporting the accounting structures the paper's evaluation is
 built on (:class:`~repro.core.stats.QueryStats`,
 :class:`~repro.core.stats.IndexStats`).
+
+Every method has one construction path — :meth:`SearchMethod._build` over the
+whole collection — and, where it maintains one, one insert path for rows that
+arrive later: :meth:`SearchMethod._insert_block`, reached through
+:meth:`SearchMethod.extend` and driven down a tree by :func:`route_batch`.
 """
 
 from __future__ import annotations
@@ -113,25 +118,15 @@ class SearchMethod(abc.ABC):
     is_index: bool = True
     #: whether the method supports ng-approximate search.
     supports_approximate: bool = False
-    #: whether the method implements an array-native bulk-load constructor.
-    supports_bulk_build: bool = False
 
-    def __init__(
-        self,
-        store: SeriesStore,
-        build_mode: str = "bulk",
-        build_chunk_rows: int | None = None,
-    ) -> None:
-        if build_mode not in ("bulk", "incremental"):
-            raise ValueError("build_mode must be 'bulk' or 'incremental'")
+    def __init__(self, store: SeriesStore, build_chunk_rows: int | None = None) -> None:
         if build_chunk_rows is not None and int(build_chunk_rows) <= 0:
             raise ValueError("build_chunk_rows must be positive or None")
         # Thread-local execution context (set before the store property below).
         self._context = threading.local()
         self.store = store
-        self.build_mode = build_mode
         #: rows per streamed build chunk (None = the store's default chunk).
-        #: Bulk builds stream the collection in chunks of this many rows, so
+        #: Builds stream the collection in chunks of this many rows, so
         #: peak build residency is one chunk plus the summaries — the chunk
         #: size trades sequential-pass granularity for resident bytes and
         #: never changes the built index (chunking is row-local).
@@ -212,27 +207,10 @@ class SearchMethod(abc.ABC):
         self._built = True
         return self.index_stats
 
+    @abc.abstractmethod
     def _build(self) -> None:
-        """Method-specific construction.
-
-        The default dispatches to the array-native :meth:`_bulk_build` when
-        the method implements one (``supports_bulk_build``) and the caller did
-        not force ``build_mode="incremental"``; otherwise it falls back to the
-        per-series :meth:`_incremental_build` loop.  Methods without a
-        bulk/incremental distinction simply override :meth:`_build` directly.
-        """
-        if self.supports_bulk_build and self.build_mode == "bulk":
-            self._bulk_build()
-        else:
-            self._incremental_build()
-
-    def _bulk_build(self) -> None:
-        """Array-native bulk construction (tree methods override this)."""
-        raise NotImplementedError(f"{self.name} has no bulk-load constructor")
-
-    def _incremental_build(self) -> None:
-        """Per-series insert-loop construction (the bulk loaders' fallback)."""
-        raise NotImplementedError(f"{self.name} does not implement construction")
+        """Method-specific construction over the whole collection (the one
+        construction path; rows that arrive later go through :meth:`extend`)."""
 
     def append(self, position: int) -> None:
         """Insert one more series from the store: the one-row :meth:`extend`."""
@@ -636,15 +614,8 @@ class SearchMethod(abc.ABC):
             np.asarray(query.series, dtype=np.float64), query.k, stats
         )
         stats.cpu_seconds = time.perf_counter() - start
-        delta = self.store.since(before)
-        stats.random_accesses += delta.random_accesses
-        stats.sequential_pages += delta.sequential_pages
-        stats.bytes_read += delta.bytes_read
-        stats.physical_bytes_read += delta.physical_bytes_read
-        neighbors = answers.neighbors()
-        if neighbors:
-            stats.answer_distance = neighbors[0].distance
-        return SearchResult(neighbors, stats)
+        self._charge_delta(stats, self.store.since(before))
+        return self._package_result(answers, stats)
 
     def range_exact(self, query: RangeQuery) -> RangeSearchResult:
         """Answer an exact r-range query (Definition 2 in the paper).
@@ -663,11 +634,7 @@ class SearchMethod(abc.ABC):
             np.asarray(query.series, dtype=np.float64), float(query.radius), stats
         )
         stats.cpu_seconds = time.perf_counter() - start
-        delta = self.store.since(before)
-        stats.random_accesses += delta.random_accesses
-        stats.sequential_pages += delta.sequential_pages
-        stats.bytes_read += delta.bytes_read
-        stats.physical_bytes_read += delta.physical_bytes_read
+        self._charge_delta(stats, self.store.since(before))
         return RangeSearchResult(answers, stats)
 
     @abc.abstractmethod

@@ -1,9 +1,9 @@
 """DSTree: a data-adaptive and dynamic segmentation index (EAPCA-based).
 
 Every node keeps an EAPCA synopsis (per-segment ranges of means and standard
-deviations) over its own segmentation.  Construction is bulk-loaded by
-default: the whole collection lands in the root and overflowing nodes are
-split recursively, with candidate split policies — horizontal splits on a
+deviations) over its own segmentation.  Construction is bulk-loaded: the
+whole collection lands in the root and overflowing nodes are split
+recursively, with candidate split policies — horizontal splits on a
 segment's mean or standard deviation, and vertical splits that first refine
 the segmentation — scored from vectorized per-segment statistics over the full
 candidate block; the policy with the best expected separation wins (the
@@ -54,10 +54,6 @@ class DsTreeIndex(SearchMethod):
         Cap on how far vertical splits may refine the segmentation.
     buffer_capacity:
         Optional in-memory buffer budget (in series) during construction.
-    build_mode:
-        ``"bulk"`` (default) recursively partitions whole position blocks;
-        ``"incremental"`` forces the legacy one-series-at-a-time insert loop
-        (the two produce query-equivalent trees).
     build_chunk_rows:
         Rows per streamed chunk for the build passes (``None`` = the store's
         default); never changes the built tree.
@@ -65,7 +61,6 @@ class DsTreeIndex(SearchMethod):
 
     name = "dstree"
     supports_approximate = True
-    supports_bulk_build = True
 
     def __init__(
         self,
@@ -74,10 +69,9 @@ class DsTreeIndex(SearchMethod):
         leaf_capacity: int = 100,
         max_segments: int | None = None,
         buffer_capacity: int | None = None,
-        build_mode: str = "bulk",
         build_chunk_rows: int | None = None,
     ) -> None:
-        super().__init__(store, build_mode=build_mode, build_chunk_rows=build_chunk_rows)
+        super().__init__(store, build_chunk_rows=build_chunk_rows)
         if leaf_capacity <= 0:
             raise ValueError("leaf_capacity must be positive")
         initial_segments = max(1, min(initial_segments, store.length))
@@ -99,25 +93,19 @@ class DsTreeIndex(SearchMethod):
         return boundaries
 
     # -- construction ----------------------------------------------------------------
-    def _make_buffer(self) -> BufferPool:
-        return BufferPool(
+    def _attach_buffer(self) -> None:
+        """A fresh simulated build buffer, charged to the live store counter."""
+        self._buffer = BufferPool(
             capacity_series=self.buffer_capacity,
             series_bytes=self.store.series_bytes,
             counter=self.store.counter,
             page_series=self.store.series_per_page,
         )
 
-    def _incremental_build(self) -> None:
-        data = self.store.scan()
-        self._buffer = self._make_buffer()
-        for position in range(self.store.count):
-            self._route_block(position, data[position : position + 1].astype(np.float64))
-        self._buffer.flush_all()
-
-    def _bulk_build(self) -> None:
+    def _build(self) -> None:
         """Array-native construction: the whole collection lands in the root,
         then overflowing nodes split recursively on vectorized block
-        statistics — the per-series routing loop never runs.
+        statistics — no per-series routing.
 
         All raw-data access streams in chunks: the root synopsis folds one
         accounted sequential pass (exactly a scan()'s counters), and every
@@ -125,7 +113,7 @@ class DsTreeIndex(SearchMethod):
         chunked peek — so peak residency is one chunk plus one node's compact
         per-row statistics, never the float64 collection.
         """
-        self._buffer = self._make_buffer()
+        self._attach_buffer()
         root = self.root
         root.positions.extend(np.arange(self.store.count, dtype=np.int64))
         root.synopsis = synopsis_from_stream(
@@ -137,13 +125,6 @@ class DsTreeIndex(SearchMethod):
         self._buffer.flush_all()
 
     def _insert_block(self, start: int, block: np.ndarray) -> None:
-        if self._buffer is None or self._buffer.counter is not self.store.counter:
-            # Rebuild the pool when the store was re-attached (persistence
-            # reload, grown collection) so spill I/O lands on the live counter.
-            self._buffer = self._make_buffer()
-        self._route_block(start, block)
-
-    def _route_block(self, start: int, block: np.ndarray) -> None:
         """Insert ``block`` (store positions ``start``...) in one descent.
 
         The block's per-row statistics are computed once per distinct segment
@@ -151,6 +132,10 @@ class DsTreeIndex(SearchMethod):
         node on the way folds its group's ranges into its synopsis once and
         splits the group on its policy column with one mask.
         """
+        if self._buffer is None or self._buffer.counter is not self.store.counter:
+            # Rebuild the pool when the store was re-attached (persistence
+            # reload, grown collection) so spill I/O lands on the live counter.
+            self._attach_buffer()
         positions = np.arange(start, start + block.shape[0], dtype=np.int64)
         cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         spans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -195,11 +180,10 @@ class DsTreeIndex(SearchMethod):
             self._buffer.add(id(leaf))
             if leaf.size > self.leaf_capacity:
                 self._split_leaf(leaf)
-            if self._built:
-                # Rows arriving after the build settle at once — there is no
-                # later flush_all, so only the row that overflows a leaf is
-                # ever in flight (and spill accounting is the per-row one).
-                self._buffer.flush_all()
+            # Live rows settle at once — there is no later flush_all, so only
+            # the row that overflows a leaf is ever in flight (and spill
+            # accounting is the per-row one).
+            self._buffer.flush_all()
 
         route_batch(self.root, block.shape[0], self.leaf_capacity, descend, deliver)
 
@@ -510,6 +494,5 @@ class DsTreeIndex(SearchMethod):
             leaf_capacity=self.leaf_capacity,
             max_segments=self.max_segments,
             initial_segments=len(self.root.boundaries) - 1,
-            build_mode=self.build_mode,
         )
         return info

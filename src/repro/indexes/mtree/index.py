@@ -265,26 +265,7 @@ class MTreeIndex(SearchMethod):
         return answers
 
     def _knn_exact(self, query: np.ndarray, k: int, stats: QueryStats) -> KnnAnswerSet:
-        answers = self._make_answer_set(k)
-        counter = itertools.count()
-        heap: list[tuple[float, int, MTreeNode, float]] = []
-        heapq.heappush(heap, (0.0, next(counter), self.root, 0.0))
-        while heap:
-            bound, _, node, parent_distance = heapq.heappop(heap)
-            # Strict >: equality must not prune (positional tie-break).
-            if bound * bound > answers.worst_squared_distance:
-                break
-            if node.is_leaf:
-                self._scan_leaf(node, query, answers, stats, parent_distance)
-                continue
-            stats.nodes_visited += 1
-            for entry in node.entries:
-                dist = euclidean(query, entry.vector)
-                stats.lower_bounds_computed += 1
-                lower = max(0.0, dist - entry.radius)
-                if lower * lower <= answers.worst_squared_distance:
-                    heapq.heappush(heap, (lower, next(counter), entry.subtree, dist))
-        return answers
+        return self._knn_bounded(query, k, stats, epsilon=0.0)
 
     def knn_epsilon(self, query: KnnQuery, epsilon: float = 0.0):
         """Epsilon-approximate k-NN search (Definition 5 in the paper).
@@ -306,15 +287,8 @@ class MTreeIndex(SearchMethod):
             np.asarray(query.series, dtype=np.float64), query.k, stats, epsilon
         )
         stats.cpu_seconds = time.perf_counter() - start
-        delta = self.store.since(before)
-        stats.random_accesses += delta.random_accesses
-        stats.sequential_pages += delta.sequential_pages
-        neighbors = answers.neighbors()
-        if neighbors:
-            stats.answer_distance = neighbors[0].distance
-        from ..base import SearchResult
-
-        return SearchResult(neighbors, stats)
+        self._charge_delta(stats, self.store.since(before))
+        return self._package_result(answers, stats)
 
     def _knn_bounded(
         self, query: np.ndarray, k: int, stats: QueryStats, epsilon: float

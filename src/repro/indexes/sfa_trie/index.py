@@ -5,13 +5,12 @@ coefficient breakpoints).  The trie groups series by word prefix: the root's
 children branch on the first symbol, and when a leaf overflows, its series are
 redistributed one level deeper — i.e. the word is extended by one more DFT
 coefficient, which is the "vertical" splitting style the paper contrasts with
-SAX-based horizontal splits.  Construction is bulk-loaded by default: the
+SAX-based horizontal splits.  Construction is bulk-loaded: the
 batch-transformed word matrix is radix-grouped by prefix (one lexsort, then
-contiguous runs per trie level), so the per-series insert loop never runs;
-series added after the initial load are routed a batch at a time (``extend``),
-one descent per batch, into the trie that inserting them one by one would
-leave.  The lower bound used for pruning is the SFA cell distance restricted
-to the prefix available at a node.
+contiguous runs per trie level); series added after the initial load are
+routed a batch at a time (``extend``), one descent per batch, into the trie
+that inserting them one by one would leave.  The lower bound used for pruning
+is the SFA cell distance restricted to the prefix available at a node.
 """
 
 from __future__ import annotations
@@ -109,10 +108,6 @@ class SfaTrieIndex(SearchMethod):
         few and its pruning ratio is comparatively low).
     sample_size:
         Number of series sampled to learn the MCB breakpoints.
-    build_mode:
-        ``"bulk"`` (default) radix-groups the word matrix per prefix level;
-        ``"incremental"`` forces the per-series insert loop (the two produce
-        identical tries).
     build_chunk_rows:
         Rows per streamed summarization chunk during construction (``None`` =
         the store's default); never changes the built trie.
@@ -120,7 +115,6 @@ class SfaTrieIndex(SearchMethod):
 
     name = "sfa-trie"
     supports_approximate = True
-    supports_bulk_build = True
 
     def __init__(
         self,
@@ -130,10 +124,9 @@ class SfaTrieIndex(SearchMethod):
         binning: str = "equi-depth",
         leaf_capacity: int = 1000,
         sample_size: int = 2048,
-        build_mode: str = "bulk",
         build_chunk_rows: int | None = None,
     ) -> None:
-        super().__init__(store, build_mode=build_mode, build_chunk_rows=build_chunk_rows)
+        super().__init__(store, build_chunk_rows=build_chunk_rows)
         if leaf_capacity <= 0:
             raise ValueError("leaf_capacity must be positive")
         coefficients = min(coefficients, store.length)
@@ -148,7 +141,13 @@ class SfaTrieIndex(SearchMethod):
         self._words: np.ndarray | None = None
 
     # -- construction ----------------------------------------------------------------
-    def _summarize_collection(self) -> None:
+    def _build(self) -> None:
+        """Array-native construction: radix-group the word matrix by prefix.
+
+        One lexsort orders every word; each trie level then partitions its
+        (already sorted) run on the next symbol column via contiguous group
+        boundaries, descending only where a run exceeds the leaf capacity.
+        """
         # The MCB breakpoints must exist before the first chunk can be
         # symbolized, so the (small) sample is read ahead through the
         # unaccounted peek — the historical path reused the already-scanned
@@ -160,22 +159,7 @@ class SfaTrieIndex(SearchMethod):
             self.store.scan_blocks(chunk_rows=self.build_chunk_rows),
             self.store.count,
         )
-
-    def _incremental_build(self) -> None:
-        self._summarize_collection()
-        for position in range(self.store.count):
-            self._route_block(position, position + 1)
-
-    def _bulk_build(self) -> None:
-        """Array-native construction: radix-group the word matrix by prefix.
-
-        One lexsort orders every word; each trie level then partitions its
-        (already sorted) run on the next symbol column via contiguous group
-        boundaries, descending only where a run exceeds the leaf capacity.
-        """
-        self._summarize_collection()
-        order = lexicographic_order(self._words)
-        self._radix_fill(self.root, order)
+        self._radix_fill(self.root, lexicographic_order(self._words))
 
     def _radix_fill(self, node: SfaTrieNode, order: np.ndarray) -> None:
         for symbol, sub_order in prefix_groups(self._words, order, node.depth):
@@ -188,7 +172,7 @@ class SfaTrieIndex(SearchMethod):
             else:
                 # Stable lexsort keeps positions ascending within one word;
                 # across the words of a leaf they must be re-sorted to match
-                # the arrival order of the incremental path.
+                # the arrival order live inserts keep.
                 child.positions.extend(np.sort(sub_order))
 
     def _insert_block(self, start: int, block: np.ndarray) -> None:
@@ -202,11 +186,7 @@ class SfaTrieIndex(SearchMethod):
             )
         words = self.summarizer.transform_batch(block).astype(self._words.dtype)
         self._words = np.vstack([self._words, words])
-        self._route_block(start, start + block.shape[0])
-
-    def _route_block(self, start: int, stop: int) -> None:
-        """Insert rows ``[start, stop)`` of the word matrix in one descent."""
-        positions = np.arange(start, stop, dtype=np.int64)
+        positions = np.arange(start, start + block.shape[0], dtype=np.int64)
 
         def descend(node: SfaTrieNode, rows: np.ndarray):
             groups = []
@@ -226,7 +206,7 @@ class SfaTrieIndex(SearchMethod):
             if leaf.size > self.leaf_capacity and leaf.depth < self.coefficients:
                 self._split_leaf(leaf)
 
-        route_batch(self.root, stop - start, self.leaf_capacity, descend, deliver)
+        route_batch(self.root, block.shape[0], self.leaf_capacity, descend, deliver)
 
     def _split_leaf(self, node: SfaTrieNode) -> None:
         """Redistribute an overflowing leaf one prefix level deeper.
@@ -346,6 +326,5 @@ class SfaTrieIndex(SearchMethod):
             alphabet_size=self.alphabet_size,
             binning=self.summarizer.binning,
             leaf_capacity=self.leaf_capacity,
-            build_mode=self.build_mode,
         )
         return info

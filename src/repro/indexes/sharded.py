@@ -381,7 +381,6 @@ class ShardedMethod(SearchMethod):
 
     name = "sharded"
     is_index = True
-    supports_bulk_build = False
 
     def __init__(
         self,

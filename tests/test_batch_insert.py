@@ -48,7 +48,7 @@ def _series(method, position):
 
 def _live_buffer(method):
     if method._buffer is None or method._buffer.counter is not method.store.counter:
-        method._buffer = method._make_buffer()
+        method._attach_buffer()
     return method._buffer
 
 
@@ -83,7 +83,9 @@ def insert_dstree(method, position):
     buffer.flush_all()
 
 
-def _insert_isax_tree(root, summarizer, capacity, split, position, paa, buffer=None):
+def _insert_isax_tree(tree, position, paa):
+    """One series into the shared iSAX tree (with its buffer, if it has one)."""
+    root, summarizer, buffer = tree.root, tree.summarizer, tree.buffer
     base = sax_breakpoints(2)
     key = tuple(int(np.searchsorted(base, value, side="left")) for value in paa)
     node = root.children.get(key)
@@ -101,18 +103,16 @@ def _insert_isax_tree(root, summarizer, capacity, split, position, paa, buffer=N
     node.add_block(np.array([position]), paa[np.newaxis, :])
     if buffer is not None:
         buffer.add(id(node))
-    if node.size > capacity:
-        split(node)
+    if node.size > tree.leaf_capacity:
+        tree._split_leaf(node)
     if buffer is not None:
         buffer.flush_all()
 
 
 def insert_isax(method, position):
     paa = method.summarizer.paa.transform(_series(method, position))
-    _insert_isax_tree(
-        method.root, method.summarizer, method.leaf_capacity, method._split_leaf,
-        position, paa, _live_buffer(method),
-    )
+    _live_buffer(method)
+    _insert_isax_tree(method.tree, position, paa)
 
 
 def insert_ads(method, position):
@@ -122,10 +122,7 @@ def insert_ads(method, position):
     method._symbols = np.vstack(
         [method._symbols, method.summarizer.transform(series)[np.newaxis, :]]
     )
-    tree = method.tree
-    _insert_isax_tree(
-        tree.root, tree.summarizer, tree.leaf_capacity, tree._split_leaf, position, paa
-    )
+    _insert_isax_tree(method.tree, position, paa)
 
 
 def insert_sfa(method, position):
@@ -190,13 +187,18 @@ def fingerprint(method):
             method._words.tolist(),
         )
     ads = method.name == "ads+"
-    nodes = _walk(method.tree.root if ads else method.root, lambda n: list(n.children.values()))
-    tree = [
+    tree = isax_fingerprint(method.tree)
+    return (tree, method._paa.tolist(), method._symbols.tolist()) if ads else tree
+
+
+def isax_fingerprint(tree):
+    """The shared iSAX tree's structure — the same walk for iSAX2+ and ADS+."""
+    nodes = _walk(tree.root, lambda n: list(n.children.values()))
+    return [
         (n.is_leaf, n.word, n.split_segment, n.position_block().tolist(),
          [float(v).hex() for v in n.paa_block().ravel()])
         for n in nodes
     ]
-    return (tree, method._paa.tolist(), method._symbols.tolist()) if ads else tree
 
 
 def _counts(counter):
@@ -304,6 +306,31 @@ def test_extend_leaves_the_per_row_tree(name, backend, seed, prefix, batches):
             _assert_same_tree(name, values, prefix, batches, directory, probes=sources)
 
 
+@pytest.mark.parametrize("buffer_capacity", [None, 4])
+@given(seed=st.integers(0, 10_000), prefix=st.integers(8, 40), batches=BATCH_SIZES)
+@settings(max_examples=12, deadline=None)
+def test_isax2plus_and_adsplus_hold_the_same_tree(buffer_capacity, seed, prefix, batches):
+    """One ``IsaxTree`` serves both indexes: same collection and parameters,
+    same tree — after ``build()`` and after ``extend()`` however it is cut.
+    The build buffer iSAX2+ hands the tree only counts; it never decides."""
+    values, _ = _collection(seed, prefix, sum(batches))
+
+    def trees(name, sizes, **extra):
+        head = Dataset(values=values[:prefix].copy(), name="head")
+        method = create_method(name, SeriesStore(head), **TREES["ads+"], **extra)
+        method.build()
+        built = isax_fingerprint(method.tree)
+        method.store = SeriesStore(Dataset(values=values.copy(), name="full"))
+        start = prefix
+        for size in sizes:
+            start += method.extend(start, start + size)
+        return built, isax_fingerprint(method.tree)
+
+    isax = trees("isax2+", batches, buffer_capacity=buffer_capacity)
+    assert isax == trees("ads+", batches[::-1])
+    assert len(isax[1]) >= len(isax[0]) > 1
+
+
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_duplicates_beyond_a_leaf_in_one_batch(name):
     """A leaf no split can divide keeps growing: DSTree and iSAX re-attempt
@@ -315,7 +342,7 @@ def test_duplicates_beyond_a_leaf_in_one_batch(name):
     method = _assert_same_tree(
         name, values, prefix, [copies + 6], probes=(prefix, prefix + copies)
     )
-    tree = method.tree if name == "ads+" else method
+    tree = method.tree if name in ("isax2+", "ads+") else method
     children = (
         (lambda n: [c for c in (n.left, n.right) if c])
         if name == "dstree"

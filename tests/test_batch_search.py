@@ -130,7 +130,7 @@ class TestBatchMindistKernels:
         query = rng.standard_normal(64).cumsum()
         paa = index.summarizer.paa.transform(query)
         checked = 0
-        for child in index.root.children.values():
+        for child in index.tree.root.children.values():
             for node in child.iter_nodes():
                 if not node.children:
                     continue

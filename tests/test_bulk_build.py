@@ -1,10 +1,10 @@
 """Build-equivalence suite for the bulk-load construction layer.
 
-For every tree method, a bulk-built index (``build_mode="bulk"``, the default)
-and a loop-built index (``build_mode="incremental"``) must return identical
+For every tree method, an index built over the whole collection and one grown
+to the same collection through the public ``append()``/``extend()`` (built
+over a prefix, the rest arriving in a grown store) must return identical
 ``knn_exact``/``knn_exact_batch`` results — including ties — and respect the
-leaf capacity.  The insert router is exercised through ``append``/``extend``
-after a bulk build.
+leaf capacity.
 """
 
 import numpy as np
@@ -39,16 +39,26 @@ def queries(tie_dataset):
     return np.vstack(out)
 
 
+#: rows the grown tree is built over; the rest arrive through append/extend.
+GROWN_PREFIX = 40
+
+
 def build_pair(method_name, dataset, **overrides):
+    """``(bulk, grown)``: one build over ``dataset`` vs. a prefix build grown
+    to it — a few single-row ``append`` calls, then ``extend`` batches."""
     params = dict(TREE_METHOD_PARAMS[method_name])
     params.update(overrides)
-    bulk = create_method(method_name, SeriesStore(dataset), build_mode="bulk", **params)
-    loop = create_method(
-        method_name, SeriesStore(dataset), build_mode="incremental", **params
-    )
+    bulk = create_method(method_name, SeriesStore(dataset), **params)
     bulk.build()
-    loop.build()
-    return bulk, loop
+    prefix = Dataset(values=dataset.values[:GROWN_PREFIX].copy(), name="prefix")
+    grown = create_method(method_name, SeriesStore(prefix), **params)
+    grown.build()
+    grown.store = SeriesStore(dataset)
+    for position in range(GROWN_PREFIX, GROWN_PREFIX + 3):
+        grown.append(position)
+    grown.extend(GROWN_PREFIX + 3, GROWN_PREFIX + 50)
+    grown.extend(GROWN_PREFIX + 50)
+    return bulk, grown
 
 
 def assert_same_answers(a, b):
@@ -78,7 +88,7 @@ def assert_same_answers(a, b):
 
 
 def collect_leaves(method):
-    if method.name == "ads+":
+    if method.name in ("isax2+", "ads+"):
         return method.tree.leaves()
     if method.name == "dstree":
         return method.root.leaves()
@@ -90,19 +100,19 @@ def collect_leaves(method):
 class TestBuildEquivalence:
     @pytest.mark.parametrize("method_name", sorted(TREE_METHOD_PARAMS))
     def test_knn_exact_matches(self, tie_dataset, queries, method_name):
-        bulk, loop = build_pair(method_name, tie_dataset)
+        bulk, grown = build_pair(method_name, tie_dataset)
         for k in (1, 5, 12):
             for query in queries:
                 assert_same_answers(
                     bulk.knn_exact(KnnQuery(series=query, k=k)),
-                    loop.knn_exact(KnnQuery(series=query, k=k)),
+                    grown.knn_exact(KnnQuery(series=query, k=k)),
                 )
 
     @pytest.mark.parametrize("method_name", sorted(TREE_METHOD_PARAMS))
     def test_knn_exact_batch_matches(self, tie_dataset, queries, method_name):
-        bulk, loop = build_pair(method_name, tie_dataset)
+        bulk, grown = build_pair(method_name, tie_dataset)
         for a, b in zip(
-            bulk.knn_exact_batch(queries, k=5), loop.knn_exact_batch(queries, k=5)
+            bulk.knn_exact_batch(queries, k=5), grown.knn_exact_batch(queries, k=5)
         ):
             assert_same_answers(a, b)
 
@@ -116,9 +126,9 @@ class TestBuildEquivalence:
 
     @pytest.mark.parametrize("method_name", sorted(TREE_METHOD_PARAMS))
     def test_leaf_capacity_respected(self, tie_dataset, method_name):
-        bulk, loop = build_pair(method_name, tie_dataset)
+        bulk, grown = build_pair(method_name, tie_dataset)
         capacity = TREE_METHOD_PARAMS[method_name]["leaf_capacity"]
-        for method in (bulk, loop):
+        for method in (bulk, grown):
             for leaf in collect_leaves(method):
                 # Leaves at maximum resolution may legitimately overflow; the
                 # random-walk data used here never exhausts the resolution.
@@ -129,16 +139,6 @@ class TestBuildEquivalence:
         bulk, _ = build_pair(method_name, tie_dataset)
         assert bulk.index_stats.leaf_nodes == len(collect_leaves(bulk))
         assert bulk.index_stats.total_nodes > bulk.index_stats.leaf_nodes
-
-    def test_incremental_mode_survives_describe(self, tie_dataset):
-        _, loop = build_pair("isax2+", tie_dataset)
-        assert loop.describe()["build_mode"] == "incremental"
-
-    def test_rejects_unknown_build_mode(self, tie_dataset):
-        with pytest.raises(ValueError):
-            create_method(
-                "isax2+", SeriesStore(tie_dataset), build_mode="eager", leaf_capacity=10
-            )
 
 
 class TestAppendAfterBulkBuild:
@@ -156,7 +156,6 @@ class TestAppendAfterBulkBuild:
         grown = create_method(
             method_name,
             SeriesStore(Dataset(values=values[:initial].copy(), name="prefix")),
-            build_mode="bulk",
             **params,
         )
         grown.build()
@@ -168,7 +167,6 @@ class TestAppendAfterBulkBuild:
         reference = create_method(
             method_name,
             SeriesStore(Dataset(values=values.copy(), name="full")),
-            build_mode="bulk",
             **params,
         )
         reference.build()

@@ -149,7 +149,7 @@ class TestCompressedBackend:
         np.testing.assert_array_equal(fresh.read_rows(60, 130), stored[60:130])
         picks = np.array([0, 63, 64, 65, COUNT - 1])
         np.testing.assert_array_equal(fresh.take(picks), stored[picks])
-        np.testing.assert_array_equal(fresh.row(100), stored[100])
+        np.testing.assert_array_equal(fresh.get(100), stored[100])
         np.testing.assert_array_equal(fresh.get(slice(10, 20)), stored[10:20])
 
     def test_values_are_float32_and_read_only(self, backend):

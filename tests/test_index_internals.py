@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.indexes.ads.tree import AdsTree
 from repro.indexes.dstree.node import DsTreeNode, SplitPolicy
 from repro.indexes.isax.node import IsaxNode
+from repro.indexes.isax.tree import IsaxTree
 from repro.indexes.rstartree.index import RStarNode, _enlargement, _overlap
 from repro.indexes.sfa_trie.index import SfaTrieNode
 from repro.summarization.sax import IsaxSummarizer, SaxWord
@@ -29,10 +29,12 @@ class TestIsaxNode:
 
 
 class TestAdsTree:
+    """The tree ADS+ searches — the ``IsaxTree`` it shares with iSAX2+."""
+
     def test_bulk_insert_and_leaf_lookup(self):
         dataset = random_walk_dataset(200, 32, seed=17)
         summarizer = IsaxSummarizer(32, segments=8, cardinality=16)
-        tree = AdsTree(summarizer, leaf_capacity=20)
+        tree = IsaxTree(summarizer, leaf_capacity=20)
         paa = summarizer.paa.transform_batch(dataset.values)
         tree.bulk_insert(paa)
         # Every series is in exactly one leaf.
@@ -46,7 +48,7 @@ class TestAdsTree:
     def test_rejects_bad_capacity(self):
         summarizer = IsaxSummarizer(32, segments=8)
         with pytest.raises(ValueError):
-            AdsTree(summarizer, leaf_capacity=0)
+            IsaxTree(summarizer, leaf_capacity=0)
 
 
 class TestDsTreeNode:

@@ -28,13 +28,13 @@ class TestIsax2Plus:
 
     def test_every_series_stored_exactly_once(self, index, small_dataset):
         positions = []
-        for child in index.root.children.values():
+        for child in index.tree.root.children.values():
             for leaf in child.leaves():
                 positions.extend(leaf.positions)
         assert sorted(positions) == list(range(small_dataset.count))
 
     def test_leaves_respect_capacity(self, index):
-        for child in index.root.children.values():
+        for child in index.tree.root.children.values():
             for leaf in child.leaves():
                 assert leaf.size <= index.leaf_capacity or all(
                     c == index.cardinality for c in leaf.word.cardinalities

@@ -1,8 +1,12 @@
 """Tests for index persistence (save / load with dataset fingerprinting)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro import SeriesStore, create_method
+from repro.core.integrity import CorruptionError
 from repro.core.persistence import (
     IndexEnvelope,
     dataset_fingerprint,
@@ -85,6 +89,29 @@ class TestSaveLoad:
 
         path.write_bytes(pickle.dumps({"not": "an index"}))
         with pytest.raises(ValueError):
+            load_method(path, small_dataset)
+
+    def _forged(self, tmp_path, dataset, **changes):
+        """A saved iSAX2+ index whose envelope fields were overwritten."""
+        method = create_method("isax2+", SeriesStore(dataset), leaf_capacity=25)
+        method.build()
+        envelope = save_method(method, tmp_path / "index.idx")
+        path = tmp_path / "forged.idx"
+        path.write_bytes(pickle.dumps(dataclasses.replace(envelope, **changes)))
+        return path
+
+    def test_load_refuses_an_older_format_version_at_load(self, tmp_path, small_dataset):
+        """A version-4 state has no ``tree``: refused when loaded, with the
+        version found and the remedy — not an AttributeError at first query."""
+        path = self._forged(tmp_path, small_dataset, format_version=4)
+        with pytest.raises(ValueError, match=r"version 4\b.*rebuild and re-save"):
+            load_method(path, small_dataset)
+
+    def test_load_never_skips_the_state_checksum(self, tmp_path, small_dataset):
+        """A zeroed ``state_checksum`` used to mean "pre-v3 file, skip the
+        integrity check"; it is a mismatch like any other."""
+        path = self._forged(tmp_path, small_dataset, state_checksum=0)
+        with pytest.raises(CorruptionError):
             load_method(path, small_dataset)
 
     def test_envelope_summary(self, tmp_path, small_dataset):

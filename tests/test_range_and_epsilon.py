@@ -5,6 +5,7 @@ import pytest
 
 from repro import SeriesStore, create_method
 from repro.core.distance import squared_euclidean_batch
+from repro.core.faults import FaultPlan, RetryPolicy
 from repro.core.queries import KnnQuery, RangeQuery
 from repro.indexes.mtree import MTreeIndex
 
@@ -117,3 +118,57 @@ class TestEpsilonApproximate:
         assert len(approx) == 3
         # The k-th approximate answer respects the epsilon bound on the k-th exact.
         assert approx[-1] <= (1.25) * exact[-1] + 1e-6
+
+
+class TestEnvelopeAccounting:
+    """Every public entry point charges a query the whole store-counter delta
+    of its call — each field ``_charge_delta`` carries, not a hand-picked few.
+    A plan under which every first read fails, and measured I/O, make
+    ``retries`` and ``measured_io_seconds`` non-zero, so a dropped field
+    cannot hide."""
+
+    CARRIED = (
+        "random_accesses",
+        "sequential_pages",
+        "bytes_read",
+        "physical_bytes_read",
+        "measured_io_seconds",
+        "retries",
+    )
+
+    def _flaky(self, name, dataset, **params):
+        store = SeriesStore(
+            dataset,
+            measure_io=True,
+            faults=FaultPlan(seed=5, transient=1.0),
+            retry=RetryPolicy(attempts=8, base_delay=0.0, max_delay=0.0),
+        )
+        method = create_method(name, store, **params)
+        method.build()
+        return method
+
+    def _assert_stats_are_the_delta(self, method, call):
+        before = method.store.counter_snapshot()
+        stats = call().stats
+        delta = method.store.since(before)
+        assert delta.retries > 0 and delta.measured_io_seconds > 0.0
+        assert delta.bytes_read > 0 and delta.physical_bytes_read > 0
+        for name in self.CARRIED:
+            assert getattr(stats, name) == getattr(delta, name), name
+
+    def test_knn_approximate_charges_every_field(self, small_dataset, small_queries):
+        method = self._flaky("isax2+", small_dataset, leaf_capacity=25)
+        self._assert_stats_are_the_delta(
+            method, lambda: method.knn_approximate(small_queries[0])
+        )
+
+    def test_range_exact_charges_every_field(self, small_dataset, small_queries):
+        method = self._flaky("isax2+", small_dataset, leaf_capacity=25)
+        query = RangeQuery(series=small_queries[0].series, radius=8.0)
+        self._assert_stats_are_the_delta(method, lambda: method.range_exact(query))
+
+    def test_mtree_knn_epsilon_charges_every_field(self, tiny_dataset, tiny_queries):
+        method = self._flaky("m-tree", tiny_dataset, node_capacity=8)
+        self._assert_stats_are_the_delta(
+            method, lambda: method.knn_epsilon(tiny_queries[0], epsilon=0.25)
+        )

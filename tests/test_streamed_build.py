@@ -55,11 +55,10 @@ def tree_fingerprint(method) -> list:
     """Every structural and numeric fact of a built tree, traversal-ordered."""
     name = method.name.split(":", 1)[-1]
     out: list = []
-    if name == "isax2+":
-        roots = [method.root]
-    elif name == "ads+":
-        out.append(("paa", norm(method._paa)))
-        out.append(("symbols", norm(method._symbols)))
+    if name in ("isax2+", "ads+"):
+        if name == "ads+":
+            out.append(("paa", norm(method._paa)))
+            out.append(("symbols", norm(method._symbols)))
         roots = [method.tree.root]
     elif name == "dstree":
         roots = [method.root]
@@ -276,8 +275,8 @@ class TestAppendAfterStreamedBuild:
         for q in workload:
             a = grown.knn_exact(KnnQuery(series=q.series, k=5))
             b = reference.knn_exact(KnnQuery(series=q.series, k=5))
-            # Appends route through the incremental machinery, which is
-            # query-equivalent (not structurally identical): distances match.
+            # A grown tree is query-equivalent to a rebuilt one (not
+            # structurally identical): distances match.
             np.testing.assert_allclose(a.distances(), b.distances(), rtol=1e-9)
         # Every appended position must be findable.
         for position in range(140, 150):
