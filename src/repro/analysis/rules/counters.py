@@ -30,7 +30,6 @@ READ_PRIMITIVES = {
     "read_groups",
     "read_block",
     "read_contiguous",
-    "read_one",
 }
 
 

@@ -5,7 +5,7 @@ far bigger than RAM — while this reproduction historically required the whole
 collection as one in-memory ndarray.  This module separates *where the bytes
 live* from *how accesses are accounted*: a :class:`StorageBackend` serves raw
 row reads, and :class:`~repro.core.storage.SeriesStore` layers the paper's
-page-granular accounting on top.  Two backends are provided:
+page-granular accounting on top.  Four backends are provided:
 
 * :class:`MemoryBackend` — the historical behavior: an in-memory frozen array.
 * :class:`MmapBackend` — a memory-mapped ``.npy`` or raw-float32 file.  Reads
@@ -23,6 +23,15 @@ page-granular accounting on top.  Two backends are provided:
   The backend additionally exposes the integer representation itself
   (:meth:`CompressedBackend.quantized_parts`), which is what the two-phase
   pruned-precision scans filter on before fetching full-precision survivors.
+* :class:`~repro.core.growable.GrowableBackend` — a live store directory:
+  one :class:`MmapBackend` per sealed segment and one :class:`MemoryBackend`
+  per write-ahead-logged tail chunk.
+
+Every backend serves one primitive set — :meth:`StorageBackend.read_rows`
+and :meth:`StorageBackend.take`, plus ``quantized_parts`` on the compressed
+backend — and everything else (:attr:`StorageBackend.values`, every store
+access style) derives from it, so fault injection, retries and integrity
+checks see every byte read.
 
 Backends are deliberately accounting-free: every read primitive here is raw,
 and the counters (and therefore the simulated I/O models) are identical for
@@ -88,16 +97,25 @@ class StorageBackend(abc.ABC):
     """
 
     kind: str = "abstract"
+    #: ``(count, array)`` behind the derived :attr:`values`; never pickled.
+    _frozen: tuple[int, np.ndarray] | None = None
 
     # -- geometry ------------------------------------------------------------
     @property
-    @abc.abstractmethod
     def values(self) -> np.ndarray:
         """The whole collection as one read-only ``(count, length)`` array.
 
-        For the mmap backend this is a lazy view into the mapping — returning
-        it costs nothing and slicing it reads only the touched rows.
+        Derived: one ``read_rows(0, count)``, frozen and cached until
+        :meth:`release` or until the row count changes.  The in-memory and
+        mmap backends return their own array instead — for mmap a lazy view
+        into the mapping that reads only the rows a caller touches.
         """
+        count, frozen = self.count, self._frozen
+        if frozen is None or frozen[0] != count:
+            data = np.ascontiguousarray(self.read_rows(0, count))
+            data.setflags(write=False)
+            frozen = self._frozen = (count, data)
+        return frozen[1]
 
     @property
     def count(self) -> int:
@@ -171,10 +189,6 @@ class StorageBackend(abc.ABC):
         """The rows at ``positions`` (a copy, by fancy-indexing semantics)."""
         return self.values[positions]
 
-    def get(self, key) -> np.ndarray:
-        """Arbitrary ndarray indexing (the store's unaccounted ``peek``)."""
-        return self.values[key]
-
     # -- structure -----------------------------------------------------------
     @abc.abstractmethod
     def slice(self, start: int, stop: int) -> "StorageBackend":
@@ -200,8 +214,9 @@ class StorageBackend(abc.ABC):
         A no-op for in-memory backends; the mmap backend advises the kernel
         that the pages are no longer needed, which is what keeps the resident
         set of a streaming scan bounded by the chunk size instead of the file
-        size.
+        size.  Any derived :attr:`values` copy is dropped too.
         """
+        self._frozen = None
 
     def describe(self) -> dict:
         """Provenance metadata recorded in persistence envelopes."""
@@ -212,6 +227,11 @@ class StorageBackend(abc.ABC):
             "length": self.length,
             "dtype": str(self.dtype),
         }
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_frozen", None)  # derived from the primitives on arrival
+        return state
 
 
 class MemoryBackend(StorageBackend):
@@ -423,13 +443,10 @@ class MmapBackend(StorageBackend):
 
     # -- pickling ---------------------------------------------------------------
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
+        state = super().__getstate__()
         state["_root"] = None  # mappings are reopened from the path on unpickle
         state["_view"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
 
 class CompressedBackend(StorageBackend):
@@ -460,7 +477,7 @@ class CompressedBackend(StorageBackend):
         regardless of the collection size.
 
     Lazy-open and picklable by (path, row range): the header/table, file
-    handle, block cache, and any materialized values are all dropped from the
+    handle, block cache, and any derived values are all dropped from the
     pickle and rebuilt on first use, exactly like :class:`MmapBackend`.
     """
 
@@ -482,7 +499,6 @@ class CompressedBackend(StorageBackend):
         self._info = None
         self._handle = None
         self._cache: "OrderedDict[int, tuple]" = OrderedDict()
-        self._values: np.ndarray | None = None
         self._open()  # validate eagerly; reopened lazily after unpickling
 
     # -- file lifecycle --------------------------------------------------------
@@ -582,24 +598,8 @@ class CompressedBackend(StorageBackend):
         return start // rows, (stop + rows - 1) // rows
 
     # -- raw reads -------------------------------------------------------------
-    @property
-    def values(self) -> np.ndarray:
-        """The whole view materialized (dequantized) — cached until released.
-
-        Methods that take the one-shot ``scan()`` view (UCR Suite, stepwise,
-        the spatial trees) pay the full decode once; streamed consumers never
-        call this.
-        """
-        if self._values is None:
-            out = np.empty((self.count, self.length), dtype=SERIES_DTYPE)
-            step = max(1, self._open().block_rows)
-            for lo in range(0, self.count, step):
-                hi = min(lo + step, self.count)
-                out[lo:hi] = self.read_rows(lo, hi)
-            out.setflags(write=False)
-            self._values = out
-        return self._values
-
+    # While a derived `values` copy exists (methods that take the one-shot
+    # `scan()` view pay the full decode once), reads are served from it.
     def read_rows(self, start: int, stop: int) -> np.ndarray:
         from .quantize import dequantize_block
 
@@ -607,8 +607,9 @@ class CompressedBackend(StorageBackend):
         stop = min(self.count, int(stop))
         if stop <= start:
             return np.empty((0, self.length), dtype=SERIES_DTYPE)
-        if self._values is not None:
-            return self._values[start:stop]
+        frozen = self._frozen
+        if frozen is not None:
+            return frozen[1][start:stop]
         a0, a1 = start + self._start, stop + self._start
         rows = self._open().block_rows
         out = np.empty((a1 - a0, self.length), dtype=SERIES_DTYPE)
@@ -628,8 +629,9 @@ class CompressedBackend(StorageBackend):
         idx = np.asarray(positions, dtype=np.int64)
         if idx.size == 0:
             return np.empty((0, self.length), dtype=SERIES_DTYPE)
-        if self._values is not None:
-            return self._values[idx]
+        frozen = self._frozen
+        if frozen is not None:
+            return frozen[1][idx]
         rows = self._open().block_rows
         absolute = idx + self._start
         out = np.empty((idx.size, self.length), dtype=SERIES_DTYPE)
@@ -641,21 +643,6 @@ class CompressedBackend(StorageBackend):
                 codes[absolute[mask] - int(b) * rows], scale, shift
             )
         return out
-
-    def get(self, key) -> np.ndarray:
-        # Serve the common access shapes block-at-a-time so `peek` never
-        # materializes the collection; anything fancier falls back to values.
-        if isinstance(key, slice):
-            start, stop, step = key.indices(self.count)
-            if step == 1:
-                return self.read_rows(start, stop)
-            return self.take(np.arange(start, stop, step))
-        if isinstance(key, (int, np.integer)):
-            return self.read_rows(int(key), int(key) + 1)[0]
-        arr = np.asarray(key)
-        if arr.ndim == 1 and arr.dtype != np.bool_:
-            return self.take(arr.astype(np.int64))
-        return self.values[key]
 
     # -- quantized access ------------------------------------------------------
     def quantized_parts(self, start: int, stop: int) -> list[tuple]:
@@ -723,10 +710,10 @@ class CompressedBackend(StorageBackend):
 
     def release(self, start: int = 0, stop: int | None = None) -> None:
         """Evict decoded blocks fully inside rows ``start:stop`` and any
-        materialized whole-view copy.  Boundary blocks shared with a
+        derived :attr:`values` copy.  Boundary blocks shared with a
         neighboring chunk stay cached, so a streamed scan never re-decodes a
         block it is still consuming."""
-        self._values = None
+        super().release(start, stop)
         if self._info is None or not self._cache:
             return
         rows = self._info.block_rows
@@ -751,15 +738,11 @@ class CompressedBackend(StorageBackend):
 
     # -- pickling ---------------------------------------------------------------
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
+        state = super().__getstate__()
         state["_info"] = None  # geometry is reparsed from the path on unpickle
         state["_handle"] = None
         state["_cache"] = OrderedDict()
-        state["_values"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
 
 def resolve_backend(dataset, backend=None) -> StorageBackend:

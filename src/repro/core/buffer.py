@@ -80,6 +80,25 @@ class BufferPool:
         self._spill_heap: list[tuple[int, int, object]] = []
         self._heap_sequence = 0
 
+    @classmethod
+    def for_store(
+        cls, store, capacity_series: int | None, current: "BufferPool | None" = None
+    ) -> "BufferPool":
+        """An index build buffer charging ``store``'s live counter.
+
+        Returns ``current`` while it still charges that counter; otherwise a
+        fresh pool in the store's geometry — after a persistence reload or a
+        re-attached store, spill I/O then lands on the live counter.
+        """
+        if current is not None and current.counter is store.counter:
+            return current
+        return cls(
+            capacity_series=capacity_series,
+            series_bytes=store.series_bytes,
+            counter=store.counter,
+            page_series=store.series_per_page,
+        )
+
     # -- operations -----------------------------------------------------------
     def add(self, node_key: object, count: int = 1) -> None:
         """Buffer ``count`` series for ``node_key``, spilling if over capacity."""

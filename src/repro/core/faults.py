@@ -4,9 +4,9 @@ Real deployments of a disk-resident search system see transient I/O errors,
 latency spikes, short reads, and flipped bits.  This module makes all of them
 *reproducible*: a :class:`FaultPlan` is a small seeded description of how
 often each fault fires, and a :class:`FaultInjectingBackend` wraps any
-:class:`~repro.core.backends.StorageBackend` (memory/mmap/compressed) and
-injects the planned faults into the raw read primitives the whole library is
-built on.  Chaos tests drive every scan, build, and sharded path through real
+:class:`~repro.core.backends.StorageBackend` (memory/mmap/compressed/growable)
+and injects the planned faults into the raw read primitives the whole library
+is built on.  Chaos tests drive every scan, build, and sharded path through real
 failures and assert that the retry/verification layers above produce either
 the byte-identical fault-free answer or a typed error — never silently wrong
 results.
@@ -274,13 +274,13 @@ class _Incarnations:
 class FaultInjectingBackend(StorageBackend):
     """Wrap any backend and inject the faults a :class:`FaultPlan` describes.
 
-    Read primitives (``read_rows``/``take``/``get`` and the
-    compressed backend's ``quantized_parts``) pass through the plan;
-    geometry, accounting, slicing, and release delegate untouched, so the
-    wrapper is invisible to counters.  ``fork()`` wraps a fork of the inner
-    backend under a *new incarnation* — transient faults re-roll, which is
-    what lets a re-forked shard recover — while ``slice()`` keeps the current
-    incarnation (a shard partition is not a retry).
+    Read primitives (``read_rows``/``take`` and the compressed backend's
+    ``quantized_parts``) pass through the plan; geometry, accounting,
+    slicing, and release delegate untouched, so the wrapper is invisible to
+    counters.  ``fork()`` wraps a fork of the inner backend under a *new
+    incarnation* — transient faults re-roll, which is what lets a re-forked
+    shard recover — while ``slice()`` keeps the current incarnation (a shard
+    partition is not a retry).
     """
 
     def __init__(
@@ -402,10 +402,6 @@ class FaultInjectingBackend(StorageBackend):
                 out[mask] = bits.view(np.float32)
             data = data if out is None else out
         return data
-
-    def get(self, key) -> np.ndarray:
-        self._enter("get", (repr(np.asarray(key).tolist()) if isinstance(key, np.ndarray) else repr(key),))
-        return self.inner.get(key)
 
     def quantized_parts(self, start: int, stop: int):
         self._enter("quantized_parts", (int(start), int(stop)))

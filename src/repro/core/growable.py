@@ -11,10 +11,11 @@ directory holds::
 New rows arrive through :meth:`GrowableBackend.extend`: the batch is durably
 logged (CRC-framed record, fsync before the ack returns) and then becomes
 readable from an in-memory *tail buffer* — an append-only list of immutable
-row chunks, never reallocated, so concurrent snapshot readers are safe
-without copying.  :meth:`checkpoint` drains the tail into a sealed segment
-file via the existing atomic writers and truncates the log; between
-checkpoints the WAL bounds what recovery has to replay.
+row chunks (one :class:`~repro.core.backends.MemoryBackend` each), never
+reallocated, so concurrent snapshot readers are safe without copying.
+:meth:`checkpoint` drains the tail into a sealed segment file via the
+existing atomic writers and truncates the log; between checkpoints the WAL
+bounds what recovery has to replay.
 
 Recovery-on-open replays the WAL, skips records already sealed (a checkpoint
 that died before truncating), discards a torn tail, sweeps orphaned ``*.tmp``
@@ -42,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import MmapBackend, StorageBackend
+from .backends import MemoryBackend, MmapBackend, StorageBackend
 from .integrity import CorruptionError, verify_row_range
 from .series import SERIES_DTYPE, SeriesFileWriter
 from .wal import RecoveryReport, WriteAheadLog
@@ -95,18 +96,24 @@ def sweep_orphaned_tmp(directory, *, before: float | None = None) -> list[str]:
 class _Layout:
     """An immutable point-in-time view of the store's physical layout.
 
-    Captured under the state lock; everything referenced (segment backends,
-    tail chunk arrays) is itself immutable, so reads proceed lock-free."""
+    One list of pieces — the sealed segments, then the tail chunks — each
+    itself immutable, so reads proceed lock-free over whichever layout they
+    picked up."""
 
-    __slots__ = ("segments", "bounds", "sealed", "tail_chunks", "tail_bounds", "total")
+    __slots__ = ("pieces", "bounds")
 
-    def __init__(self, segments, bounds, sealed, tail_chunks, tail_bounds, total):
-        self.segments = segments
-        self.bounds = bounds  # cumulative sealed row bounds, len = nseg + 1
-        self.sealed = sealed
-        self.tail_chunks = tail_chunks
-        self.tail_bounds = tail_bounds  # absolute row bounds, len = ntail + 1
-        self.total = total
+    def __init__(self, pieces: list[StorageBackend]) -> None:
+        self.pieces = pieces
+        self.bounds = np.zeros(len(pieces) + 1, dtype=np.int64)  # absolute rows
+        self.bounds[1:] = np.cumsum([piece.count for piece in pieces])
+
+    def spans(self, lo: int, hi: int):
+        """``(piece, start, stop)`` for every piece overlapping absolute rows
+        ``[lo, hi)``, in piece-relative coordinates."""
+        for j, piece in enumerate(self.pieces):
+            p0, p1 = int(self.bounds[j]), int(self.bounds[j + 1])
+            if p0 < hi and p1 > lo:
+                yield piece, max(lo, p0) - p0, min(hi, p1) - p0
 
 
 class _GrowableState:
@@ -118,7 +125,7 @@ class _GrowableState:
         length: int,
         wal: WriteAheadLog,
         segments: list[MmapBackend],
-        tail_chunks: list[np.ndarray],
+        tail_chunks: list[MemoryBackend],
         report: RecoveryReport,
         plan,
         read_only: bool,
@@ -132,6 +139,12 @@ class _GrowableState:
         self.plan = plan
         self.read_only = read_only
         self.lock = threading.RLock()
+        self.publish()
+
+    def publish(self) -> None:
+        """Replace the layout readers see; called under the lock after every
+        change to the pieces, so a read never re-derives the bounds."""
+        self.layout = _Layout(self.segments + self.tail_chunks)
 
     @property
     def sealed_rows(self) -> int:
@@ -139,23 +152,7 @@ class _GrowableState:
 
     @property
     def total_rows(self) -> int:
-        return self.sealed_rows + sum(int(c.shape[0]) for c in self.tail_chunks)
-
-    def layout(self) -> _Layout:
-        with self.lock:
-            segments = list(self.segments)
-            tail = list(self.tail_chunks)
-        bounds = np.zeros(len(segments) + 1, dtype=np.int64)
-        for j, seg in enumerate(segments):
-            bounds[j + 1] = bounds[j] + int(seg.count)
-        sealed = int(bounds[-1])
-        tail_bounds = np.zeros(len(tail) + 1, dtype=np.int64)
-        tail_bounds[0] = sealed
-        for t, chunk in enumerate(tail):
-            tail_bounds[t + 1] = tail_bounds[t] + int(chunk.shape[0])
-        return _Layout(
-            segments, bounds, sealed, tail, tail_bounds, int(tail_bounds[-1])
-        )
+        return int(self.layout.bounds[-1])
 
 
 def _fsync_path(path: Path) -> None:
@@ -196,8 +193,8 @@ class GrowableBackend(StorageBackend):
         (``start=0``, ``stop=None``) tracks the committed row count as it
         grows and is the only view that accepts :meth:`extend`.
 
-    Views of one open share a single :class:`_GrowableState`; reads snapshot
-    the layout under its lock and then run lock-free over immutable pieces.
+    Views of one open share a single :class:`_GrowableState`; reads take its
+    current published layout and run lock-free over immutable pieces.
     Pickling pins the current watermark and reopens read-only on unpickle
     (no sweeping, no WAL repair), which is the cross-process reader contract.
     """
@@ -231,7 +228,6 @@ class GrowableBackend(StorageBackend):
                 f"row range [{self._start}, {effective}) out of bounds for "
                 f"{total} rows"
             )
-        self._values_cache: tuple[int, np.ndarray] | None = None
 
     # -- geometry --------------------------------------------------------------
     @property
@@ -276,40 +272,18 @@ class GrowableBackend(StorageBackend):
 
     # -- reads -----------------------------------------------------------------
     def _bounds(self) -> tuple[int, int, _Layout]:
-        layout = self._state.layout()
-        stop = layout.total if self._stop is None else self._stop
+        layout = self._state.layout
+        stop = int(layout.bounds[-1]) if self._stop is None else self._stop
         return self._start, stop, layout
-
-    @property
-    def values(self) -> np.ndarray:
-        lo, hi, layout = self._bounds()
-        if self._values_cache is not None and self._values_cache[0] == hi - lo:
-            return self._values_cache[1]
-        data = np.ascontiguousarray(self._gather(lo, hi, layout))
-        data.setflags(write=False)
-        self._values_cache = (hi - lo, data)
-        return data
 
     def _gather(self, lo: int, hi: int, layout: _Layout) -> np.ndarray:
         """Rows ``[lo, hi)`` in absolute coordinates; zero-copy when one piece."""
         if hi <= lo:
             return np.empty((0, self.length), dtype=SERIES_DTYPE)
-        pieces: list[np.ndarray] = []
-        bounds = layout.bounds
-        for j, seg in enumerate(layout.segments):
-            s0, s1 = int(bounds[j]), int(bounds[j + 1])
-            if s1 <= lo or s0 >= hi:
-                continue
-            pieces.append(seg.read_rows(max(lo, s0) - s0, min(hi, s1) - s0))
-        tb = layout.tail_bounds
-        for t, chunk in enumerate(layout.tail_chunks):
-            t0, t1 = int(tb[t]), int(tb[t + 1])
-            if t1 <= lo or t0 >= hi:
-                continue
-            pieces.append(chunk[max(lo, t0) - t0 : min(hi, t1) - t0])
-        if len(pieces) == 1:
-            return pieces[0]
-        out = np.concatenate(pieces, axis=0)
+        parts = [piece.read_rows(a, b) for piece, a, b in layout.spans(lo, hi)]
+        if len(parts) == 1:
+            return parts[0]
+        out = np.concatenate(parts, axis=0)
         out.setflags(write=False)
         return out
 
@@ -328,32 +302,12 @@ class GrowableBackend(StorageBackend):
                 f"positions out of range for view of {hi - lo} rows"
             )
         out = np.empty((absolute.size, self.length), dtype=SERIES_DTYPE)
-        bounds = layout.bounds
-        for j, seg in enumerate(layout.segments):
-            s0, s1 = int(bounds[j]), int(bounds[j + 1])
-            mask = (absolute >= s0) & (absolute < s1)
-            if mask.any():
-                out[mask] = seg.take(absolute[mask] - s0)
-        tb = layout.tail_bounds
-        for t, chunk in enumerate(layout.tail_chunks):
-            t0, t1 = int(tb[t]), int(tb[t + 1])
-            mask = (absolute >= t0) & (absolute < t1)
-            if mask.any():
-                out[mask] = chunk[absolute[mask] - t0]
+        which = np.searchsorted(layout.bounds, absolute, side="right") - 1
+        for j in np.unique(which):
+            mask = which == j
+            out[mask] = layout.pieces[j].take(absolute[mask] - layout.bounds[j])
         out.setflags(write=False)
         return out
-
-    def get(self, key) -> np.ndarray:
-        if isinstance(key, (int, np.integer)):
-            return self.read_rows(int(key), int(key) + 1)[0]
-        if isinstance(key, slice):
-            start, stop, step = key.indices(self.count)
-            if step == 1:
-                return self.read_rows(start, stop)
-        idx = np.asarray(key)
-        if idx.ndim == 1 and idx.dtype != np.bool_:
-            return self.take(idx.astype(np.int64))
-        return self.values[key]
 
     def set_fault_plan(self, plan) -> None:
         """Route the write path (WAL appends, checkpoints) through ``plan``.
@@ -395,8 +349,8 @@ class GrowableBackend(StorageBackend):
         with state.lock:
             start_row = state.total_rows
             state.wal.append(data, start_row)
-            data.setflags(write=False)
-            state.tail_chunks.append(data)
+            state.tail_chunks.append(MemoryBackend(data))
+            state.publish()
             return start_row + int(data.shape[0])
 
     def checkpoint(self) -> int:
@@ -416,17 +370,17 @@ class GrowableBackend(StorageBackend):
             if not state.tail_chunks:
                 return 0
             tail = list(state.tail_chunks)
-            rows = int(sum(c.shape[0] for c in tail))
+            rows = int(sum(c.count for c in tail))
             name = f"{_SEGMENT_PREFIX}{len(state.segments):06d}.npy"
             path = state.root / name
             writer = SeriesFileWriter(path, length=state.length)
             try:
                 mid = len(tail) // 2 if len(tail) > 1 else 0
                 for chunk in tail[:mid]:
-                    writer.append(chunk)
+                    writer.append(chunk.values)
                 crash_point(state.plan, "kill_mid_checkpoint")
                 for chunk in tail[mid:]:
-                    writer.append(chunk)
+                    writer.append(chunk.values)
             except BaseException:
                 writer.abandon()
                 raise
@@ -441,6 +395,7 @@ class GrowableBackend(StorageBackend):
                 )
             state.segments.append(segment)
             state.tail_chunks.clear()
+            state.publish()
             _write_store_manifest(state)
             crash_point(state.plan, "kill_before_wal_truncate")
             state.wal.truncate()
@@ -455,7 +410,7 @@ class GrowableBackend(StorageBackend):
         the WAL was replayed (or written by this very process).
         """
         checked = 0
-        for seg in self._state.layout().segments:
+        for seg in list(self._state.segments):
             manifest = seg.checksums()
             if manifest is None:
                 raise CorruptionError(
@@ -494,16 +449,12 @@ class GrowableBackend(StorageBackend):
         )
 
     def release(self, start: int = 0, stop: int | None = None) -> None:
-        self._values_cache = None
+        super().release(start, stop)
         lo, hi, layout = self._bounds()
         a = lo + max(0, int(start))
         b = hi if stop is None else min(lo + int(stop), hi)
-        bounds = layout.bounds
-        for j, seg in enumerate(layout.segments):
-            s0, s1 = int(bounds[j]), int(bounds[j + 1])
-            if s1 <= a or s0 >= b:
-                continue
-            seg.release(max(a, s0) - s0, min(b, s1) - s0)
+        for piece, p0, p1 in layout.spans(a, b):
+            piece.release(p0, p1)
 
     def close(self) -> None:
         """Release the WAL append handle (reopened on the next extend)."""
@@ -661,7 +612,7 @@ def _open_state(
     report.torn_bytes = wal_report.torn_bytes
     report.torn_reason = wal_report.torn_reason
 
-    tail_chunks: list[np.ndarray] = []
+    tail_chunks: list[MemoryBackend] = []
     expected = sealed
     for start_row, rows in records:
         end = start_row + int(rows.shape[0])
@@ -675,7 +626,7 @@ def _open_state(
                 f"{root}: WAL record starts at row {start_row}, expected "
                 f"{expected}; the log and segments disagree"
             )
-        tail_chunks.append(rows)  # frombuffer views are already read-only
+        tail_chunks.append(MemoryBackend(rows))
         expected = end
     report.replayed_records = len(records) - report.skipped_records
     report.replayed_rows = expected - sealed

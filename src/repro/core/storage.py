@@ -65,14 +65,15 @@ class SeriesStore:
       skip-sequential refinement) in one gather, each counted as one random
       access (seek) plus the sequential pages of the block; :meth:`read_block`
       is its one-block case;
-    * :meth:`read_one` — single-series random access.
+    * :meth:`read_contiguous` — one row range (a single series is the
+      one-row range), a seek plus its sequential pages.
 
     Every call updates the shared :class:`~repro.core.stats.AccessCounter`, which
     the experiment runner snapshots around each query.  Accounting is computed
     from the store's page geometry alone, so it is identical for every backend.
 
     Reads return *views* wherever NumPy indexing allows (:meth:`scan`,
-    :meth:`read_contiguous`, :meth:`read_one`, and slice :meth:`peek` calls);
+    :meth:`read_contiguous`, and :meth:`peek`);
     only fancy-indexed block reads materialize copies.  Callers must therefore
     never mutate a returned block.  The store enforces this by serving reads
     from a frozen array (in-memory backend) or a read-only mapping (mmap
@@ -467,18 +468,16 @@ class SeriesStore:
         self._verify_range(start, stop)
         return self._serve(lambda: self._read_rows(start, stop))
 
-    def read_one(self, position: int) -> np.ndarray:
-        """Random access to a single series (a read-only view, not a copy):
-        the one-row :meth:`read_contiguous`."""
-        return self.read_contiguous(position, position + 1)[0]
-
-    def peek(self, positions: np.ndarray | list[int] | slice) -> np.ndarray:
-        """Access series *without* accounting.
+    def peek(self, start: int, stop: int) -> np.ndarray:
+        """Series ``start:stop`` *without* accounting: the unaccounted twin of
+        :meth:`read_contiguous`, verified, retried and short-read-checked the
+        same way but charging no access counter (retries still count).
 
         Used only for building summaries where the build pass is already
         accounted for with an explicit :meth:`scan`.
         """
-        return self._retrying(lambda: self.backend.get(positions))
+        self._verify_range(start, stop)
+        return self._read_rows(start, stop)
 
     # -- structure -------------------------------------------------------------
     def fork(self) -> "SeriesStore":

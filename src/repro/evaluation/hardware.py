@@ -126,7 +126,7 @@ def measure_platform(
     before = reader.counter.measured_io_seconds
     for position in probes:
         reader.backend.release(int(position), int(position) + 1)
-        reader.read_one(int(position))
+        reader.read_contiguous(int(position), int(position) + 1)
     rand_seconds = max(reader.counter.measured_io_seconds - before, 1e-12)
     rand_ms = rand_seconds / len(probes) * 1000.0
 

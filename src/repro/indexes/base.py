@@ -239,10 +239,8 @@ class SearchMethod(abc.ABC):
         # RSS-bounded block size works, so fall back to a few thousand rows.
         chunk_rows = self.build_chunk_rows or 4096
         for block_start in range(start, stop, chunk_rows):
-            rows = slice(block_start, min(stop, block_start + chunk_rows))
-            self._insert_block(
-                block_start, np.asarray(self.store.peek(rows), dtype=np.float64)
-            )
+            block = self.store.peek(block_start, min(stop, block_start + chunk_rows))
+            self._insert_block(block_start, block.astype(np.float64))
         return stop - start
 
     def _insert_block(self, start: int, block: np.ndarray) -> None:

@@ -93,15 +93,6 @@ class DsTreeIndex(SearchMethod):
         return boundaries
 
     # -- construction ----------------------------------------------------------------
-    def _attach_buffer(self) -> None:
-        """A fresh simulated build buffer, charged to the live store counter."""
-        self._buffer = BufferPool(
-            capacity_series=self.buffer_capacity,
-            series_bytes=self.store.series_bytes,
-            counter=self.store.counter,
-            page_series=self.store.series_per_page,
-        )
-
     def _build(self) -> None:
         """Array-native construction: the whole collection lands in the root,
         then overflowing nodes split recursively on vectorized block
@@ -113,7 +104,7 @@ class DsTreeIndex(SearchMethod):
         chunked peek — so peak residency is one chunk plus one node's compact
         per-row statistics, never the float64 collection.
         """
-        self._attach_buffer()
+        self._buffer = BufferPool.for_store(self.store, self.buffer_capacity)
         root = self.root
         root.positions.extend(np.arange(self.store.count, dtype=np.int64))
         root.synopsis = synopsis_from_stream(
@@ -132,10 +123,7 @@ class DsTreeIndex(SearchMethod):
         node on the way folds its group's ranges into its synopsis once and
         splits the group on its policy column with one mask.
         """
-        if self._buffer is None or self._buffer.counter is not self.store.counter:
-            # Rebuild the pool when the store was re-attached (persistence
-            # reload, grown collection) so spill I/O lands on the live counter.
-            self._attach_buffer()
+        self._buffer = BufferPool.for_store(self.store, self.buffer_capacity, self._buffer)
         positions = np.arange(start, start + block.shape[0], dtype=np.int64)
         cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         spans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}

@@ -80,15 +80,6 @@ class Isax2PlusIndex(SearchMethod):
         self._buffer: BufferPool | None = None
 
     # -- construction -------------------------------------------------------------
-    def _attach_buffer(self) -> None:
-        """A fresh simulated build buffer, charged to the live store counter."""
-        self._buffer = self.tree.buffer = BufferPool(
-            capacity_series=self.buffer_capacity,
-            series_bytes=self.store.series_bytes,
-            counter=self.store.counter,
-            page_series=self.store.series_per_page,
-        )
-
     def _build(self) -> None:
         # One streamed sequential pass (accounted exactly like a scan()): only
         # one raw chunk is resident at a time, and the build keeps the compact
@@ -98,14 +89,15 @@ class Isax2PlusIndex(SearchMethod):
             self.store.scan_blocks(chunk_rows=self.build_chunk_rows),
             self.store.count,
         )
-        self._attach_buffer()
+        self._buffer = self.tree.buffer = BufferPool.for_store(
+            self.store, self.buffer_capacity
+        )
         self.tree.bulk_insert(paa)
 
     def _insert_block(self, start: int, block: np.ndarray) -> None:
-        if self._buffer is None or self._buffer.counter is not self.store.counter:
-            # Rebuild the pool when the store was re-attached (persistence
-            # reload, grown collection) so spill I/O lands on the live counter.
-            self._attach_buffer()
+        self._buffer = self.tree.buffer = BufferPool.for_store(
+            self.store, self.buffer_capacity, self._buffer
+        )
         self.tree.insert_block(start, self.summarizer.paa.transform_batch(block))
 
     def _collect_footprint(self) -> None:

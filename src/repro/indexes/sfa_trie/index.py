@@ -153,7 +153,7 @@ class SfaTrieIndex(SearchMethod):
         # unaccounted peek — the historical path reused the already-scanned
         # array here, so the counters stay identical: one scan per build.
         sample_count = min(self.sample_size, self.store.count)
-        self.summarizer.fit(np.asarray(self.store.peek(slice(0, sample_count))))
+        self.summarizer.fit(self.store.peek(0, sample_count))
         self._words = words_stream(
             self.summarizer,
             self.store.scan_blocks(chunk_rows=self.build_chunk_rows),

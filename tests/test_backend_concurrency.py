@@ -67,7 +67,8 @@ def test_concurrent_fork_release_slice(tmp_path, kind):
             else:
                 store.backend.release()
                 reader = store.fork()
-                out.append(("row", reader.read_one((i * 13 + round_no) % 512)))
+                row = (i * 13 + round_no) % 512
+                out.append(("row", reader.read_contiguous(row, row + 1)[0]))
         return out
 
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:

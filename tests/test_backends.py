@@ -654,7 +654,7 @@ class TestMeasuredIO:
             store.scan()
             store.read_block([1, 5, 9])
             store.read_contiguous(10, 40)
-            store.read_one(3)
+            store.read_contiguous(3, 4)
         assert measured.counter.measured_io_seconds > 0.0
         assert plain.counter.measured_io_seconds == 0.0
         for field in ("sequential_pages", "random_accesses", "series_read", "bytes_read"):

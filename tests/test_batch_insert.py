@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Dataset, SeriesStore, create_method
+from repro.core.buffer import BufferPool
 from repro.core.queries import KnnQuery
 from repro.indexes.isax.node import IsaxNode
 from repro.indexes.sfa_trie.index import SfaTrieNode
@@ -43,12 +44,11 @@ TREES = {
 # The reference: one series at a time
 # --------------------------------------------------------------------------- #
 def _series(method, position):
-    return np.asarray(method.store.peek(position), dtype=np.float64)
+    return method.store.peek(position, position + 1)[0].astype(np.float64)
 
 
 def _live_buffer(method):
-    if method._buffer is None or method._buffer.counter is not method.store.counter:
-        method._attach_buffer()
+    method._buffer = BufferPool.for_store(method.store, method.buffer_capacity, method._buffer)
     return method._buffer
 
 
@@ -111,7 +111,7 @@ def _insert_isax_tree(tree, position, paa):
 
 def insert_isax(method, position):
     paa = method.summarizer.paa.transform(_series(method, position))
-    _live_buffer(method)
+    method.tree.buffer = _live_buffer(method)
     _insert_isax_tree(method.tree, position, paa)
 
 

@@ -161,7 +161,7 @@ class TestGrowableBackend:
         np.testing.assert_array_equal(backend.read_rows(7, 25), reference[7:25])
         picks = np.array([0, 11, 12, 41, 3])
         np.testing.assert_array_equal(backend.take(picks), reference[picks])
-        np.testing.assert_array_equal(backend.get(17), reference[17])
+        np.testing.assert_array_equal(backend.read_rows(17, 18)[0], reference[17])
         sub = backend.slice(5, 30)
         np.testing.assert_array_equal(sub.values, reference[5:30])
         backend.close()

@@ -162,7 +162,7 @@ class TestSidecarManifests:
             store.read_block(np.array([5, 10, 20]))
         invalidate_manifest_cache()
         with pytest.raises(CorruptionError):
-            store.read_one(10)
+            store.read_contiguous(10, 11)
 
     def test_verification_passes_on_healthy_file_and_caches(self, tmp_path):
         path = tmp_path / "data.f32"

@@ -337,8 +337,8 @@ def test_counter_conservation_flags_unaccounted_read_primitive():
     findings, _ = lint(
         """
         class SeriesStore:
-            def read_one(self, position):
-                return self.backend.row(position)
+            def read_contiguous(self, start, stop):
+                return self.backend.read_rows(start, stop)
 
             def __getstate__(self):
                 return {}
@@ -346,7 +346,7 @@ def test_counter_conservation_flags_unaccounted_read_primitive():
         "repro/core/storage.py",
     )
     assert rule_names(findings) == {"counter-conservation"}
-    assert "read_one" in findings[0].message
+    assert "read_contiguous" in findings[0].message
 
 
 def test_counter_conservation_accepts_accounting_delegation_and_peek():
@@ -401,8 +401,8 @@ def test_counter_conservation_scoped_to_storage_module():
     elsewhere, _ = lint(
         """
         class SeriesStore:
-            def read_one(self, position):
-                return self.rows[position]
+            def read_contiguous(self, start, stop):
+                return self.rows[start:stop]
 
             def __getstate__(self):
                 return {}

@@ -63,14 +63,14 @@ class TestAccounting:
 
     def test_read_one(self, dataset):
         store = SeriesStore(dataset)
-        series = store.read_one(7)
+        series = store.read_contiguous(7, 8)[0]
         assert np.array_equal(series, dataset.values[7])
         assert store.counter.random_accesses == 1
         assert store.counter.series_read == 1
 
     def test_peek_does_not_count(self, dataset):
         store = SeriesStore(dataset)
-        store.peek([1, 2, 3])
+        store.peek(1, 4)
         assert store.counter.random_accesses == 0
         assert store.counter.sequential_pages == 0
 
@@ -109,13 +109,13 @@ class TestReadOnlyViews:
 
     def test_read_one_view_is_read_only(self, dataset):
         store = SeriesStore(dataset)
-        series = store.read_one(5)
+        series = store.read_contiguous(5, 6)[0]
         with pytest.raises(ValueError):
             series[0] = 99.0
 
     def test_slice_peek_is_read_only(self, dataset):
         store = SeriesStore(dataset)
-        block = store.peek(slice(0, 4))
+        block = store.peek(0, 4)
         with pytest.raises(ValueError):
             block[0, 0] = 99.0
 
