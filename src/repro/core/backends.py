@@ -153,8 +153,11 @@ class StorageBackend(abc.ABC):
         Returns a shared :class:`~repro.core.integrity.ChecksumManifest`
         (cached process-wide, so forks and slices share one verified-set) or
         ``None`` when no sidecar exists.  In-memory backends have no stored
-        bytes to verify and always return ``None``; the compressed backend
-        verifies payload digests internally and returns ``None`` too.
+        bytes to verify and always return ``None``.  The compressed and
+        growable backends verify internally and return ``None`` too: the
+        compressed one checks each block's payload digest as it decodes it,
+        and the growable one checks each sealed segment in full against the
+        segment's own sidecar the first time the segment is read.
         """
         return None
 

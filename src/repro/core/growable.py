@@ -93,6 +93,33 @@ def sweep_orphaned_tmp(directory, *, before: float | None = None) -> list[str]:
     return swept
 
 
+class _Segment(MmapBackend):
+    """A sealed segment file, verified in full against its ``.crc`` sidecar
+    the first time it is read through this open.  Reads after that pay one
+    flag check; blocks the process already verified (the sidecar manifest's
+    shared verified-set) are not CRC'd twice."""
+
+    _verified = False
+
+    def verify(self) -> None:
+        if self._verified:
+            return
+        manifest = self.checksums()
+        if manifest is None:
+            raise CorruptionError(f"{self.source_path}: sealed segment has no .crc sidecar")
+        count = int(self.count)
+        verify_row_range(manifest, 0, count, 0, count, super().read_rows)
+        self._verified = True
+
+    def read_rows(self, start: int, stop: int) -> np.ndarray:
+        self.verify()
+        return super().read_rows(start, stop)
+
+    def take(self, positions: np.ndarray) -> np.ndarray:
+        self.verify()
+        return super().take(positions)
+
+
 class _Layout:
     """An immutable point-in-time view of the store's physical layout.
 
@@ -124,7 +151,7 @@ class _GrowableState:
         root: Path,
         length: int,
         wal: WriteAheadLog,
-        segments: list[MmapBackend],
+        segments: list[_Segment],
         tail_chunks: list[MemoryBackend],
         report: RecoveryReport,
         plan,
@@ -388,7 +415,7 @@ class GrowableBackend(StorageBackend):
             _fsync_path(path)
             _fsync_path(state.root)
             crash_point(state.plan, "kill_after_checkpoint_segment")
-            segment = MmapBackend(path, length=state.length)
+            segment = _Segment(path, length=state.length)
             if int(segment.count) != rows:  # pragma: no cover - writer bug guard
                 raise CorruptionError(
                     f"{path}: sealed {segment.count} rows, expected {rows}"
@@ -405,26 +432,19 @@ class GrowableBackend(StorageBackend):
     def verify_segments(self) -> int:
         """Verify every sealed segment against its CRC sidecar; returns rows checked.
 
-        Raises :class:`~repro.core.integrity.CorruptionError` on damage.  The
+        Raises :class:`~repro.core.integrity.CorruptionError` on damage.  Reads
+        do the same check lazily, one segment at a time, on first touch.  The
         tail buffer needs no verification — its rows were CRC-checked when
         the WAL was replayed (or written by this very process).
         """
-        checked = 0
-        for seg in list(self._state.segments):
-            manifest = seg.checksums()
-            if manifest is None:
-                raise CorruptionError(
-                    f"{seg.source_path}: sealed segment has no .crc sidecar"
-                )
-            verify_row_range(
-                manifest, 0, int(seg.count), 0, int(seg.count), seg.read_rows
-            )
-            checked += int(seg.count)
-        return checked
+        segments = list(self._state.segments)
+        for seg in segments:
+            seg.verify()
+        return sum(int(seg.count) for seg in segments)
 
     def checksums(self):
-        # Segments carry their own sidecars (verify_segments); the composite
-        # view spans files and has no single manifest.
+        # The composite view spans files and has no single manifest: each
+        # sealed segment verifies itself against its own sidecar on first read.
         return None
 
     # -- structure -------------------------------------------------------------
@@ -589,11 +609,11 @@ def _open_state(
                 continue
             report.swept_segments.append(orphan.name)
 
-    segments: list[MmapBackend] = []
+    segments: list[_Segment] = []
     for entry in listed:
         seg_path = root / entry["file"]
         try:
-            segment = MmapBackend(seg_path, length=length)
+            segment = _Segment(seg_path, length=length)
         except FileNotFoundError:
             raise CorruptionError(
                 f"{seg_path}: segment listed in the manifest is missing"

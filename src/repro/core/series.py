@@ -111,9 +111,11 @@ class Dataset:
         Array of shape ``(count, length)`` holding one series per row.  For a
         dataset constructed with ``values=None`` and a file backend, this is a
         *lazy* property: geometry (``count``/``length``) comes from the
-        backend and the array materializes only when ``values`` itself is
-        touched — streamed consumers (``scan_chunks`` and friends) never do,
-        which is what keeps the compressed backend out-of-core.
+        backend and the array materializes — through a checksum-verified
+        :meth:`SeriesStore.scan <repro.core.storage.SeriesStore.scan>` — only
+        when ``values`` itself is touched.  Streamed consumers
+        (``scan_chunks`` and friends) never do, which is what keeps the
+        compressed backend out-of-core.
     name:
         Human readable dataset name (used by the benchmark harness).
     normalized:
@@ -156,17 +158,16 @@ class Dataset:
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            if getattr(self.backend, "mutable", False):
-                # A live (growable) backend's row count still changes; serve
-                # its current values without pinning a stale materialization.
-                return self.backend.values
-            self._values = self.backend.values
-        return self._values
+        if self._values is not None:
+            return self._values
+        from .storage import SeriesStore
 
-    @values.setter
-    def values(self, values: np.ndarray | None) -> None:
-        self._values = values
+        values = SeriesStore(self).scan()
+        # A live (growable) backend's row count still changes; serve its
+        # current values without pinning a stale materialization.
+        if not getattr(self.backend, "mutable", False):
+            self._values = values
+        return values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -287,34 +288,29 @@ class Dataset:
             "format": backend.describe().get("format", backend.kind),
         }
         meta.update(metadata or {})
-        if not mmap:
-            return cls(
-                values=np.array(backend.values, dtype=SERIES_DTYPE),
-                name=name or Path(path).stem,
-                normalized=normalized,
-                metadata=meta,
-            )
-        return cls(
+        dataset = cls(
             values=None,
             name=name or Path(path).stem,
             normalized=normalized,
             metadata=meta,
             backend=backend,
         )
-
-    def _iter_chunks(self, chunk_rows: int = 65536):
-        """Stream the collection in row chunks, lazily when file-backed."""
-        if self._values is not None or self.backend is None:
-            yield self.values
-            return
-        for start in range(0, self.count, chunk_rows):
-            yield self.backend.read_rows(start, min(start + chunk_rows, self.count))
+        if mmap:
+            return dataset
+        return cls(
+            values=np.array(dataset.values, dtype=SERIES_DTYPE),
+            name=dataset.name,
+            normalized=normalized,
+            metadata=meta,
+        )
 
     def to_file(self, path: str | Path) -> Path:
         """Write the collection to ``path`` (``.npy``, or raw f32 by suffix)."""
+        from .storage import SeriesStore
+
         path = Path(path)
         with SeriesFileWriter(path, length=self.length) as writer:
-            for chunk in self._iter_chunks():
+            for _, chunk in SeriesStore(self).scan_chunks():
                 writer.append(chunk)
         return path
 
@@ -339,18 +335,18 @@ class Dataset:
         chunk, so collections larger than RAM convert in bounded memory.
         """
         from .quantize import DEFAULT_BLOCK_ROWS, CompressedFileWriter
+        from .storage import SeriesStore
 
         path = Path(path)
-        block_rows = DEFAULT_BLOCK_ROWS if block_rows is None else int(block_rows)
         with CompressedFileWriter(
             path,
             length=self.length,
             qdtype=qdtype,
-            block_rows=block_rows,
+            block_rows=DEFAULT_BLOCK_ROWS if block_rows is None else int(block_rows),
             compression=compression,
             level=level,
         ) as writer:
-            for chunk in self._iter_chunks(chunk_rows=max(block_rows, 16384)):
+            for _, chunk in SeriesStore(self).scan_chunks():
                 writer.append(chunk)
         return Dataset.from_file(
             path,
@@ -371,9 +367,10 @@ class Dataset:
         via :meth:`SeriesStore.extend <repro.core.storage.SeriesStore>`.
         """
         from .growable import GrowableBackend
+        from .storage import SeriesStore
 
         backend = GrowableBackend(path, length=self.length, create=True)
-        for chunk in self._iter_chunks():
+        for _, chunk in SeriesStore(self).scan_chunks():
             backend.extend(chunk)
         if checkpoint:
             backend.checkpoint()

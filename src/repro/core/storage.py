@@ -8,15 +8,17 @@ distinguishing sequential page reads from random accesses (seeks); the
 hardware cost models in :mod:`repro.evaluation.hardware` turn those counts
 into simulated I/O time.
 
-Where the bytes actually live is delegated to a pluggable
-:class:`~repro.core.backends.StorageBackend`: the in-memory backend preserves
-the historical all-in-RAM behavior, and the mmap backend serves the same read
-API from a memory-mapped dataset file without ever materializing the
-collection — same counters, same answers, real out-of-core capacity.  With
-``measure_io=True`` the store additionally times every backend read (faulting
-the touched pages in), accumulating *measured* wall-clock I/O next to the
-simulated accounting so the cost models can be calibrated against the actual
-storage device (:func:`repro.evaluation.hardware.measure_platform`).
+Where the bytes live is delegated to a pluggable
+:class:`~repro.core.backends.StorageBackend` — memory, mmap, compressed
+``.rcz`` or growable (:data:`~repro.core.backends.BACKEND_KINDS`) — each
+serving the same read API with the same counters and answers.  The store is
+the one way a whole collection is read (builds, scans, ``Dataset.values``
+and the ``Dataset.to_*`` conversions), so every read is checked against the
+file's checksums wherever it has them.  With ``measure_io=True`` the store
+also times every backend read (faulting the touched pages in), accumulating
+*measured* wall-clock I/O next to the simulated accounting so the cost
+models can be calibrated against the actual storage device
+(:func:`repro.evaluation.hardware.measure_platform`).
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ DEFAULT_PAGE_BYTES = 65536
 #: default streaming-scan chunk size in bytes (see :meth:`SeriesStore.scan_chunks`).
 DEFAULT_SCAN_CHUNK_BYTES = 8 * 1024 * 1024
 
-#: default chunk size for the *builder* streams (:meth:`SeriesStore.scan_blocks`,
-#: :meth:`SeriesStore.peek_chunks`).  Smaller than the scan default because a
-#: build pass double-buffers each chunk in float64 (2x) next to per-chunk
-#: kernel temporaries, so the chunk size bounds roughly 4-6x its bytes of
-#: transient residency.
+#: chunk size for the *builder* streams (:meth:`SeriesStore.scan_blocks`,
+#: :meth:`SeriesStore.peek_chunks`) and index inserts.  It never changes a
+#: built index, only how much raw data is resident at once.  Smaller than the
+#: scan default because a build pass double-buffers each chunk in float64 (2x)
+#: next to per-chunk kernel temporaries, so the chunk size bounds roughly 4-6x
+#: its bytes of transient residency.
 DEFAULT_BUILD_CHUNK_BYTES = 4 * 1024 * 1024
 
 
@@ -58,9 +61,11 @@ class SeriesStore:
 
     The store exposes the access styles used by the methods in the paper:
 
-    * :meth:`scan` — full sequential scan (UCR Suite, MASS, index build passes);
-    * :meth:`scan_chunks` — the same scan as a bounded-memory chunk stream
-      (identical accounting; the streaming form of out-of-core passes);
+    * :meth:`scan` — full sequential scan returning the whole collection
+      (UCR Suite, VA+file, Stepwise, M-tree and R*-tree);
+    * :meth:`scan_chunks` / :meth:`scan_blocks` — the same scan as a
+      bounded-memory chunk stream (identical accounting; flat scans, MASS and
+      every tree build stream this way);
     * :meth:`read_groups` — several blocks (leaves, or the runs of a
       skip-sequential refinement) in one gather, each counted as one random
       access (seek) plus the sequential pages of the block; :meth:`read_block`
@@ -89,7 +94,6 @@ class SeriesStore:
         measure_io: bool = False,
         faults: FaultPlan | str | None = None,
         retry: RetryPolicy | None = None,
-        verify: bool | None = None,
     ) -> None:
         """``faults`` wraps the backend in deterministic fault injection (a
         :class:`~repro.core.faults.FaultPlan`, a spec string, or — when left
@@ -97,9 +101,8 @@ class SeriesStore:
         the transient-fault :class:`~repro.core.faults.RetryPolicy` applied
         around every backend read (default: 4 attempts with jittered
         exponential backoff; ``RetryPolicy(attempts=1)`` disables retries).
-        ``verify`` controls checksum verification against the backend's
-        integrity data (``None``/``True``: verify whenever a ``.crc`` sidecar
-        exists; ``False``: off)."""
+        Reads are checksum-verified whenever the backend's file has a ``.crc``
+        sidecar."""
         if page_bytes <= 0:
             raise ValueError("page_bytes must be positive")
         self.dataset = dataset
@@ -110,16 +113,10 @@ class SeriesStore:
             faults = FaultPlan.from_env()
         if faults is not None and not isinstance(resolved, FaultInjectingBackend):
             resolved = FaultInjectingBackend(resolved, faults)
-            # The write path's crash points live inside the WAL/checkpoint
-            # sequence; growable backends take the plan directly.
-            set_plan = getattr(resolved.inner, "set_fault_plan", None)
-            if set_plan is not None:
-                set_plan(faults)
         self.backend = resolved
         self.faults = resolved.plan if isinstance(resolved, FaultInjectingBackend) else None
         self.retry = DEFAULT_RETRY_POLICY if retry is None else retry
-        self.verify = verify is not False
-        self._manifest = self.backend.checksums() if self.verify else None
+        self._manifest = self.backend.checksums()
         self.page_bytes = int(page_bytes)
         self.measure_io = bool(measure_io)
         self.counter = AccessCounter()
@@ -155,6 +152,13 @@ class SeriesStore:
         if count <= 0:
             return 0
         return (count + self._series_per_page - 1) // self._series_per_page
+
+    @property
+    def rows_per_build_chunk(self) -> int:
+        """Rows per chunk of the builder streams (:meth:`scan_blocks`,
+        :meth:`peek_chunks`) and of ``SearchMethod.extend``: the one place
+        their chunk size comes from (:data:`DEFAULT_BUILD_CHUNK_BYTES`)."""
+        return max(1, DEFAULT_BUILD_CHUNK_BYTES // self._series_bytes)
 
     # -- measured I/O ----------------------------------------------------------
     def _serve(self, read):
@@ -259,11 +263,13 @@ class SeriesStore:
         """Full sequential scan of the raw file.
 
         Counted as one seek (positioning at the start of the file) plus the
-        sequential pages of the whole file.  The returned array is the whole
-        collection: an in-memory view, or — on the mmap backend — a lazy view
-        into the mapping whose rows are paged in as they are touched.
+        sequential pages of the whole file, and checksum-verified like every
+        other accounted read.  The returned array is the whole collection: an
+        in-memory view, or — on the mmap backend — a lazy view into the
+        mapping whose rows are paged in as they are touched.
         """
         self._account_scan()
+        self._verify_range(0, self.count)
         return self._serve(lambda: self.backend.values)
 
     def scan_chunks(self, chunk_rows: int | None = None, drop: bool = True):
@@ -314,9 +320,7 @@ class SeriesStore:
         Accounting is exactly :meth:`scan_chunks`'s, i.e. exactly
         :meth:`scan`'s.
         """
-        if chunk_rows is None:
-            chunk_rows = max(1, DEFAULT_BUILD_CHUNK_BYTES // self._series_bytes)
-        for start, block in self.scan_chunks(chunk_rows=chunk_rows):
+        for start, block in self.scan_chunks(chunk_rows or self.rows_per_build_chunk):
             yield slice(start, start + block.shape[0]), block.astype(np.float64)
 
     def peek_chunks(self, positions: np.ndarray, chunk_rows: int | None = None):
@@ -333,9 +337,7 @@ class SeriesStore:
         their positions sorted), which makes the released spans contiguous.
         """
         idx = np.asarray(positions, dtype=np.int64)
-        if chunk_rows is None:
-            chunk_rows = max(1, DEFAULT_BUILD_CHUNK_BYTES // self._series_bytes)
-        chunk_rows = max(1, int(chunk_rows))
+        chunk_rows = max(1, int(chunk_rows or self.rows_per_build_chunk))
         previous_low: int | None = None
         start = 0
         while start < idx.size:
@@ -498,7 +500,6 @@ class SeriesStore:
             backend=self.backend.fork(),
             measure_io=self.measure_io,
             retry=self.retry,
-            verify=self.verify,
         )
 
     def __getstate__(self) -> dict:
@@ -519,8 +520,7 @@ class SeriesStore:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if self.verify:
-            self._manifest = self.backend.checksums()
+        self._manifest = self.backend.checksums()
 
     def slice(self, start: int, stop: int, name: str | None = None) -> "SeriesStore":
         """A store over the contiguous sub-range ``start:stop`` (zero-copy).
@@ -546,7 +546,6 @@ class SeriesStore:
             backend=sub_backend,
             measure_io=self.measure_io,
             retry=self.retry,
-            verify=self.verify,
         )
 
     def describe_storage(self) -> dict:
@@ -570,13 +569,10 @@ class SeriesStore:
         Running queries are unaffected: they read through snapshots or the
         pre-extend layout, both immutable.
         """
-        backend = getattr(self.backend, "inner", self.backend)
-        extend = getattr(backend, "extend", None)
-        if extend is None:
-            raise ValueError(
-                f"the {self.backend.kind!r} backend is frozen; live ingest "
-                "needs backend='growable' (see Dataset.to_growable)"
-            )
+        extend = self._write_op(
+            "extend",
+            "is frozen; live ingest needs backend='growable' (see Dataset.to_growable)",
+        )
         data = np.atleast_2d(np.asarray(rows, dtype=SERIES_DTYPE))
         new_count = extend(data)
         self.counter.bytes_written += int(data.nbytes)
@@ -584,14 +580,27 @@ class SeriesStore:
 
     def checkpoint(self) -> int:
         """Seal the growable tail into a segment file; returns rows sealed."""
-        backend = getattr(self.backend, "inner", self.backend)
-        checkpoint = getattr(backend, "checkpoint", None)
-        if checkpoint is None:
-            raise ValueError(
-                f"the {self.backend.kind!r} backend has no checkpoint; live "
-                "ingest needs backend='growable'"
-            )
+        checkpoint = self._write_op(
+            "checkpoint", "has no checkpoint; live ingest needs backend='growable'"
+        )
         return int(checkpoint())
+
+    def _write_op(self, name: str, missing: str):
+        """The live backend's write operation ``name``, armed with this
+        store's fault plan.
+
+        The write path's crash points live inside the WAL/checkpoint
+        sequence, so a growable backend takes the plan when the store writes
+        through it — not when the store is made, which leaves the backend
+        untouched by stores that only read.
+        """
+        backend = getattr(self.backend, "inner", self.backend)
+        op = getattr(backend, name, None)
+        if op is None:
+            raise ValueError(f"the {self.backend.kind!r} backend {missing}")
+        if self.faults is not None:
+            backend.set_fault_plan(self.faults)
+        return op
 
     def snapshot(self, name: str | None = None) -> "SeriesStore":
         """A store pinned to the current committed row count (zero-copy).

@@ -41,9 +41,6 @@ class AdsPlusIndex(SearchMethod):
     leaf_capacity:
         Leaf threshold of the adaptive tree.  As the paper notes, the leaf size
         affects indexing but barely affects SIMS query answering.
-    build_chunk_rows:
-        Rows per streamed summarization chunk during construction (``None`` =
-        the store's default); never changes the built tree.
     """
 
     name = "ads+"
@@ -55,9 +52,8 @@ class AdsPlusIndex(SearchMethod):
         segments: int = 16,
         cardinality: int = 256,
         leaf_capacity: int = 100,
-        build_chunk_rows: int | None = None,
     ) -> None:
-        super().__init__(store, build_chunk_rows=build_chunk_rows)
+        super().__init__(store)
         segments = min(segments, store.length)
         self.summarizer = IsaxSummarizer(store.length, segments, cardinality)
         self.segments = segments
@@ -73,10 +69,7 @@ class AdsPlusIndex(SearchMethod):
         # computes both summary matrices SIMS keeps — the raw float64
         # collection is never resident, only one chunk of it.
         self._paa, self._symbols = summarize_stream(
-            self.summarizer,
-            self.store.scan_blocks(chunk_rows=self.build_chunk_rows),
-            self.store.count,
-            symbols=True,
+            self.summarizer, self.store.scan_blocks(), self.store.count, symbols=True
         )
         self.tree.bulk_insert(self._paa)
 

@@ -119,18 +119,10 @@ class SearchMethod(abc.ABC):
     #: whether the method supports ng-approximate search.
     supports_approximate: bool = False
 
-    def __init__(self, store: SeriesStore, build_chunk_rows: int | None = None) -> None:
-        if build_chunk_rows is not None and int(build_chunk_rows) <= 0:
-            raise ValueError("build_chunk_rows must be positive or None")
+    def __init__(self, store: SeriesStore) -> None:
         # Thread-local execution context (set before the store property below).
         self._context = threading.local()
         self.store = store
-        #: rows per streamed build chunk (None = the store's default chunk).
-        #: Builds stream the collection in chunks of this many rows, so
-        #: peak build residency is one chunk plus the summaries — the chunk
-        #: size trades sequential-pass granularity for resident bytes and
-        #: never changes the built index (chunking is row-local).
-        self.build_chunk_rows = None if build_chunk_rows is None else int(build_chunk_rows)
         self.index_stats = IndexStats(method=self.name)
         self._built = False
 
@@ -235,9 +227,7 @@ class SearchMethod(abc.ABC):
                 f"extend range [{start}, {stop}) out of bounds for "
                 f"{self.store.count} rows"
             )
-        # build_chunk_rows=None means "store default" for scans; here any
-        # RSS-bounded block size works, so fall back to a few thousand rows.
-        chunk_rows = self.build_chunk_rows or 4096
+        chunk_rows = self.store.rows_per_build_chunk
         for block_start in range(start, stop, chunk_rows):
             block = self.store.peek(block_start, min(stop, block_start + chunk_rows))
             self._insert_block(block_start, block.astype(np.float64))
@@ -339,7 +329,7 @@ class SearchMethod(abc.ABC):
             stats_list.append(stats)
         return answer_sets, stats_list
 
-    def _streamed_norms(self, chunk_rows: int | None = None) -> np.ndarray:
+    def _streamed_norms(self, chunk_rows: int) -> np.ndarray:
         """Candidate squared norms in one streamed sequential pass.
 
         Chunked so the float64 staging buffer — and, on the mmap backend, the
@@ -347,8 +337,6 @@ class SearchMethod(abc.ABC):
         regardless of the collection size.  Scan-based methods call this at
         build time and feed the result to the tiled scans below.
         """
-        if chunk_rows is None:
-            chunk_rows = self.build_chunk_rows
         norms = np.empty(self.store.count, dtype=np.float64)
         for start, block in self.store.scan_chunks(chunk_rows=chunk_rows):
             b = block.astype(np.float64)

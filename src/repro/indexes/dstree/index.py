@@ -50,13 +50,11 @@ class DsTreeIndex(SearchMethod):
         Number of segments of the root segmentation.
     leaf_capacity:
         Maximum series per leaf.
-    max_segments:
-        Cap on how far vertical splits may refine the segmentation.
     buffer_capacity:
         Optional in-memory buffer budget (in series) during construction.
-    build_chunk_rows:
-        Rows per streamed chunk for the build passes (``None`` = the store's
-        default); never changes the built tree.
+
+    Vertical splits refine the segmentation up to ``4 * initial_segments``
+    segments (at most one per point).
     """
 
     name = "dstree"
@@ -67,16 +65,14 @@ class DsTreeIndex(SearchMethod):
         store: SeriesStore,
         initial_segments: int = 4,
         leaf_capacity: int = 100,
-        max_segments: int | None = None,
         buffer_capacity: int | None = None,
-        build_chunk_rows: int | None = None,
     ) -> None:
-        super().__init__(store, build_chunk_rows=build_chunk_rows)
+        super().__init__(store)
         if leaf_capacity <= 0:
             raise ValueError("leaf_capacity must be positive")
         initial_segments = max(1, min(initial_segments, store.length))
         self.leaf_capacity = leaf_capacity
-        self.max_segments = max_segments or min(store.length, 4 * initial_segments)
+        self.max_segments = min(store.length, 4 * initial_segments)
         self.buffer_capacity = buffer_capacity
         boundaries = self._even_boundaries(store.length, initial_segments)
         self.root = DsTreeNode(boundaries=boundaries, depth=0, is_leaf=True)
@@ -107,9 +103,7 @@ class DsTreeIndex(SearchMethod):
         self._buffer = BufferPool.for_store(self.store, self.buffer_capacity)
         root = self.root
         root.positions.extend(np.arange(self.store.count, dtype=np.int64))
-        root.synopsis = synopsis_from_stream(
-            self.store.scan_blocks(chunk_rows=self.build_chunk_rows), root.boundaries
-        )
+        root.synopsis = synopsis_from_stream(self.store.scan_blocks(), root.boundaries)
         self._buffer.add(id(root), root.size)
         if root.size > self.leaf_capacity:
             self._split_leaf(root)
@@ -188,7 +182,7 @@ class DsTreeIndex(SearchMethod):
 
     def _node_blocks(self, positions: np.ndarray):
         """The rows of one node as a chunked ``(slice, float64 block)`` stream."""
-        return self.store.peek_chunks(positions, chunk_rows=self.build_chunk_rows)
+        return self.store.peek_chunks(positions)
 
     def _node_statistics(
         self, boundaries: np.ndarray, positions: np.ndarray

@@ -51,10 +51,6 @@ class Isax2PlusIndex(SearchMethod):
     buffer_capacity:
         Optional in-memory buffer budget (in series) used during construction;
         exceeding it triggers simulated spills.
-    build_chunk_rows:
-        Rows per streamed summarization chunk during construction (``None`` =
-        the store's default).  The chunk size never changes the built tree —
-        only how much raw data is resident at once.
     """
 
     name = "isax2+"
@@ -67,9 +63,8 @@ class Isax2PlusIndex(SearchMethod):
         cardinality: int = 256,
         leaf_capacity: int = 100,
         buffer_capacity: int | None = None,
-        build_chunk_rows: int | None = None,
     ) -> None:
-        super().__init__(store, build_chunk_rows=build_chunk_rows)
+        super().__init__(store)
         segments = min(segments, store.length)
         self.summarizer = IsaxSummarizer(store.length, segments, cardinality)
         self.segments = segments
@@ -84,11 +79,7 @@ class Isax2PlusIndex(SearchMethod):
         # One streamed sequential pass (accounted exactly like a scan()): only
         # one raw chunk is resident at a time, and the build keeps the compact
         # (count, segments) PAA matrix instead of the float64 collection.
-        paa = summarize_stream(
-            self.summarizer,
-            self.store.scan_blocks(chunk_rows=self.build_chunk_rows),
-            self.store.count,
-        )
+        paa = summarize_stream(self.summarizer, self.store.scan_blocks(), self.store.count)
         self._buffer = self.tree.buffer = BufferPool.for_store(
             self.store, self.buffer_capacity
         )

@@ -108,9 +108,6 @@ class SfaTrieIndex(SearchMethod):
         few and its pruning ratio is comparatively low).
     sample_size:
         Number of series sampled to learn the MCB breakpoints.
-    build_chunk_rows:
-        Rows per streamed summarization chunk during construction (``None`` =
-        the store's default); never changes the built trie.
     """
 
     name = "sfa-trie"
@@ -124,9 +121,8 @@ class SfaTrieIndex(SearchMethod):
         binning: str = "equi-depth",
         leaf_capacity: int = 1000,
         sample_size: int = 2048,
-        build_chunk_rows: int | None = None,
     ) -> None:
-        super().__init__(store, build_chunk_rows=build_chunk_rows)
+        super().__init__(store)
         if leaf_capacity <= 0:
             raise ValueError("leaf_capacity must be positive")
         coefficients = min(coefficients, store.length)
@@ -154,11 +150,7 @@ class SfaTrieIndex(SearchMethod):
         # array here, so the counters stay identical: one scan per build.
         sample_count = min(self.sample_size, self.store.count)
         self.summarizer.fit(self.store.peek(0, sample_count))
-        self._words = words_stream(
-            self.summarizer,
-            self.store.scan_blocks(chunk_rows=self.build_chunk_rows),
-            self.store.count,
-        )
+        self._words = words_stream(self.summarizer, self.store.scan_blocks(), self.store.count)
         self._radix_fill(self.root, lexicographic_order(self._words))
 
     def _radix_fill(self, node: SfaTrieNode, order: np.ndarray) -> None:

@@ -707,7 +707,6 @@ class ShardedMethod(SearchMethod):
             measure_io=store.measure_io,
             faults=store.faults,
             retry=store.retry,
-            verify=store.verify,
         )
         self._spill_rows = store.count
         return self._spill_store

@@ -1,11 +1,12 @@
-"""Concurrent fork()/release()/slice() on all three storage backends.
+"""Concurrent fork()/release()/slice() on all four storage backends.
 
 The backend contract promises that forks are independent readers, slices are
 independent views, and release() is advisory — so hammering all three from a
 thread pool while readers stream data must produce byte-identical results and
 no errors.  This is the satellite coverage for the robustness PR: the sharded
 executor's recovery path forks stores from worker threads while other workers
-are mid-scan.
+are mid-scan.  On a freshly opened growable store the readers also race on
+the first-read verification of its sealed segment.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ def _dataset(tmp_path, kind):
         return base, values
     if kind == "mmap":
         return base.to_mmap(tmp_path / "conc.npy"), values
+    if kind == "growable":
+        base.to_growable(tmp_path / "conc.store").backend.close()
+        return Dataset.from_file(tmp_path / "conc.store"), values
     dataset = base.to_compressed(tmp_path / "conc.rcz")
     # The compressed backend serves dequantized values; the reference is what
     # one clean sequential read returns.
@@ -43,7 +47,7 @@ def _dataset(tmp_path, kind):
     return dataset, reference
 
 
-@pytest.mark.parametrize("kind", ["memory", "mmap", "compressed"])
+@pytest.mark.parametrize("kind", ["memory", "mmap", "compressed", "growable"])
 def test_concurrent_fork_release_slice(tmp_path, kind):
     dataset, reference = _dataset(tmp_path, kind)
     store = SeriesStore(dataset)
@@ -83,7 +87,7 @@ def test_concurrent_fork_release_slice(tmp_path, kind):
                 np.testing.assert_array_equal(data, reference[lo : lo + 64])
 
 
-@pytest.mark.parametrize("kind", ["memory", "mmap", "compressed"])
+@pytest.mark.parametrize("kind", ["memory", "mmap", "compressed", "growable"])
 def test_concurrent_forks_have_private_counters(tmp_path, kind):
     dataset, _ = _dataset(tmp_path, kind)
     store = SeriesStore(dataset)

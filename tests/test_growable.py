@@ -402,6 +402,26 @@ class TestStoreIntegration:
         assert after.shape[0] == before.shape[0] + 3
         np.testing.assert_array_equal(after[:5], before)
 
+    def test_fault_plan_reaches_the_write_path_only_when_writing(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.faults import FaultPlan
+
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "seed=7,transient=0.05")
+        dataset = Dataset(values=_rows(20, seed=17), name="live").to_growable(
+            tmp_path / "store"
+        )
+        state = dataset.backend._state
+        # Reader stores (Dataset.values, conversions, queries) leave it alone.
+        dataset.to_file(tmp_path / "copy.npy")
+        np.asarray(dataset.values)
+        SeriesStore(dataset).read_contiguous(0, 20)
+        assert state.plan is None and state.wal.plan is None
+        plan = FaultPlan(seed=3)
+        store = SeriesStore(dataset, faults=plan)
+        store.extend(_rows(2, seed=18))
+        assert state.plan is plan and state.wal.plan is plan
+
 
 # ---------------------------------------------------------------------------
 # Snapshot-during-ingest equivalence: the acceptance criterion

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import Dataset, SeriesStore
+from repro import Dataset, SeriesStore, SimilaritySearchEngine
 from repro.core.integrity import (
     CRC_SUFFIX,
     ChecksumAccumulator,
@@ -23,6 +23,7 @@ from repro.core.persistence import (
     save_method,
 )
 from repro.core.quantize import read_rcz_info
+from repro.core.queries import KnnQuery, RangeQuery
 from repro.core.registry import create_method
 from repro.core.series import SeriesFileWriter
 
@@ -177,16 +178,6 @@ class TestSidecarManifests:
         # A fork shares the same manifest object (one verified-set/process).
         assert store.fork().read_contiguous(0, 300).shape == (300, 32)
 
-    def test_verify_false_opts_out(self, tmp_path):
-        path = tmp_path / "data.f32"
-        with SeriesFileWriter(path, length=32) as writer:
-            writer.append(_rows())
-        _flip_byte(path, 5000)
-        store = SeriesStore(Dataset.from_file(path, length=32), verify=False)
-        # No verification: the corrupt bytes flow through (caller's choice).
-        for _ in store.scan_chunks():
-            pass
-
     def test_stale_sidecar_geometry_is_rejected(self, tmp_path):
         path = tmp_path / "data.f32"
         with SeriesFileWriter(path, length=32) as writer:
@@ -196,6 +187,99 @@ class TestSidecarManifests:
             handle.write(b"\0" * 128 * 4)
         with pytest.raises(CorruptionError, match="sidecar"):
             SeriesStore(Dataset.from_file(path, length=32)).read_contiguous(0, 10)
+
+
+#: the damaged row of the whole-collection fixtures, and its clean value.
+DAMAGED_ROW = 1500
+
+
+def _damage_row(path, row, delta=5.0):
+    """Rewrite one row of a ``.npy`` file in place, leaving its sidecar stale."""
+    data = np.load(path, mmap_mode="r+")
+    data[row] += np.float32(delta)
+    data.flush()
+    del data
+
+
+class TestWholeCollectionReadsAreVerified:
+    """Reads of the whole collection check the sidecar like every other read:
+    one damaged row raises instead of becoming a wrong answer or a copy with
+    fresh, valid checksums."""
+
+    @pytest.fixture
+    def damaged(self, tmp_path):
+        rows = _rows(count=2048, length=32)
+        path = tmp_path / "data.npy"
+        with SeriesFileWriter(path, length=32) as writer:
+            writer.append(rows)
+        _damage_row(path, DAMAGED_ROW)
+        return path, rows[DAMAGED_ROW].astype(np.float64)
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda m, q: m.knn_exact(KnnQuery(series=q, k=1)),
+            lambda m, q: m.range_exact(RangeQuery(series=q, radius=0.5)),
+        ],
+        ids=["knn_exact", "range_exact"],
+    )
+    def test_ucr_suite_exact_queries_raise(self, damaged, search):
+        path, query = damaged
+        method = create_method("ucr-suite", SeriesStore(Dataset.from_file(path)))
+        method.build()
+        with pytest.raises(CorruptionError):
+            search(method, query)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda ds, d: ds.to_compressed(d / "copy.rcz"),
+            lambda ds, d: ds.to_growable(d / "copy.store"),
+            lambda ds, d: ds.to_mmap(d / "copy.npy"),
+        ],
+        ids=["to_compressed", "to_growable", "to_mmap"],
+    )
+    def test_conversions_refuse_damaged_source(self, damaged, tmp_path, convert):
+        path, _ = damaged
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(CorruptionError):
+            convert(Dataset.from_file(path), out)
+
+    @pytest.mark.parametrize(
+        "materialize",
+        [
+            lambda path, q: Dataset.from_file(path, mmap=False),
+            lambda path, q: Dataset.from_file(path).values,
+            lambda path, q: SimilaritySearchEngine(Dataset.from_file(path)).brute_force(q),
+        ],
+        ids=["from_file_no_mmap", "values", "brute_force"],
+    )
+    def test_materializing_reads_raise(self, damaged, materialize):
+        path, query = damaged
+        with pytest.raises(CorruptionError):
+            materialize(path, query)
+
+    @pytest.fixture
+    def damaged_growable(self, tmp_path):
+        rows = _rows(count=2048, length=32)
+        root = tmp_path / "store"
+        Dataset(values=rows).to_growable(root).backend.close()
+        _damage_row(root / "segment-000000.npy", DAMAGED_ROW)
+        invalidate_manifest_cache()
+        return root, rows[DAMAGED_ROW].astype(np.float64)
+
+    def test_growable_read_contiguous_raises(self, damaged_growable):
+        root, _ = damaged_growable
+        with pytest.raises(CorruptionError):
+            SeriesStore(Dataset.from_file(root)).read_contiguous(0, 10)
+
+    def test_growable_flat_knn_raises(self, damaged_growable):
+        root, query = damaged_growable
+        with pytest.raises(CorruptionError):
+            method = create_method("flat", SeriesStore(Dataset.from_file(root)))
+            method.build()
+            method.knn_exact(KnnQuery(series=query, k=1))
 
 
 class TestCompressedChecksums:

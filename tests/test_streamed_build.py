@@ -7,13 +7,16 @@ the chunk size is *invisible* — a build streamed in small chunks (including
 sizes that do not divide the collection) yields a tree identical to the
 in-RAM single-chunk build, node for node and value for value, with identical
 build counters and identical query answers and accounting, on the memory and
-mmap backends alike, including through the ``sharded:*`` wrappers.
+mmap backends alike, including through the ``sharded:*`` wrappers.  The
+chunk size has one source, the storage module's build-chunk constant, which
+the ``chunk`` fixture patches.
 """
 
 import numpy as np
 import pytest
 
 from repro import Dataset, SeriesStore, create_method
+from repro.core import storage
 from repro.core.queries import KnnQuery
 from repro.workloads import random_walk_dataset, synth_rand_workload
 
@@ -29,6 +32,17 @@ TREE_METHOD_PARAMS = {
 ODD_CHUNKS = (37, 97)
 
 COUNT, LENGTH = 430, 48
+
+
+@pytest.fixture
+def chunk(monkeypatch):
+    """``chunk(rows, length)`` sets the rows per streamed build chunk from here on."""
+
+    def use(rows: int, length: int = LENGTH) -> None:
+        row_bytes = length * np.dtype(np.float32).itemsize
+        monkeypatch.setattr(storage, "DEFAULT_BUILD_CHUNK_BYTES", rows * row_bytes)
+
+    return use
 
 
 @pytest.fixture(scope="module")
@@ -156,66 +170,94 @@ class TestStreamedEqualsInRam:
     """Small odd chunks == one whole-collection chunk (the in-RAM build)."""
 
     @pytest.mark.parametrize("method_name", sorted(TREE_METHOD_PARAMS))
-    @pytest.mark.parametrize("chunk", ODD_CHUNKS)
-    def test_tree_identical_on_memory_backend(self, dataset, method_name, chunk):
-        inram, inram_stats = build(method_name, dataset, build_chunk_rows=COUNT)
-        streamed, streamed_stats = build(method_name, dataset, build_chunk_rows=chunk)
+    @pytest.mark.parametrize("rows", ODD_CHUNKS)
+    def test_tree_identical_on_memory_backend(self, dataset, method_name, rows, chunk):
+        chunk(COUNT)
+        inram, inram_stats = build(method_name, dataset)
+        chunk(rows)
+        streamed, streamed_stats = build(method_name, dataset)
         assert tree_fingerprint(streamed) == tree_fingerprint(inram)
         assert streamed_stats.sequential_pages == inram_stats.sequential_pages
         assert streamed_stats.random_accesses == inram_stats.random_accesses
 
     @pytest.mark.parametrize("method_name", sorted(TREE_METHOD_PARAMS))
-    def test_tree_identical_on_mmap_backend(self, dataset, mmap_dataset, method_name):
-        inram, inram_stats = build(method_name, dataset, build_chunk_rows=COUNT)
-        streamed, streamed_stats = build(
-            method_name, mmap_dataset, backend="mmap", build_chunk_rows=ODD_CHUNKS[1]
-        )
+    def test_tree_identical_on_mmap_backend(self, dataset, mmap_dataset, method_name, chunk):
+        chunk(COUNT)
+        inram, inram_stats = build(method_name, dataset)
+        chunk(ODD_CHUNKS[1])
+        streamed, streamed_stats = build(method_name, mmap_dataset, backend="mmap")
         assert tree_fingerprint(streamed) == tree_fingerprint(inram)
         assert streamed_stats.sequential_pages == inram_stats.sequential_pages
         assert streamed_stats.random_accesses == inram_stats.random_accesses
 
     @pytest.mark.parametrize("method_name", sorted(TREE_METHOD_PARAMS))
     def test_answers_and_counters_identical(
-        self, dataset, mmap_dataset, queries, method_name
+        self, dataset, mmap_dataset, queries, method_name, chunk
     ):
-        inram, _ = build(method_name, dataset, build_chunk_rows=COUNT)
-        streamed, _ = build(method_name, dataset, build_chunk_rows=ODD_CHUNKS[0])
-        mmap_streamed, _ = build(
-            method_name, mmap_dataset, backend="mmap", build_chunk_rows=ODD_CHUNKS[0]
-        )
+        chunk(COUNT)
+        inram, _ = build(method_name, dataset)
+        chunk(ODD_CHUNKS[0])
+        streamed, _ = build(method_name, dataset)
+        mmap_streamed, _ = build(method_name, mmap_dataset, backend="mmap")
         expected = query_facts(inram, queries)
         assert query_facts(streamed, queries) == expected
         assert query_facts(mmap_streamed, queries) == expected
 
     @pytest.mark.parametrize("method_name", sorted(TREE_METHOD_PARAMS))
-    def test_knn_exact_identical(self, dataset, queries, method_name):
-        inram, _ = build(method_name, dataset, build_chunk_rows=COUNT)
-        streamed, _ = build(method_name, dataset, build_chunk_rows=ODD_CHUNKS[0])
+    def test_knn_exact_identical(self, dataset, queries, method_name, chunk):
+        chunk(COUNT)
+        inram, _ = build(method_name, dataset)
+        chunk(ODD_CHUNKS[0])
+        streamed, _ = build(method_name, dataset)
         for query in queries:
             a = inram.knn_exact(KnnQuery(series=query, k=3))
             b = streamed.knn_exact(KnnQuery(series=query, k=3))
             assert a.positions() == b.positions()
             assert a.distances() == b.distances()
 
-    def test_chunk_default_matches_explicit(self, dataset):
-        default, _ = build("isax2+", dataset)  # store-default chunking
-        explicit, _ = build("isax2+", dataset, build_chunk_rows=COUNT)
+    def test_patched_chunk_reaches_the_build_streams(self, dataset, chunk, monkeypatch):
+        """The build scan and DSTree's split re-reads both cut at the patched size."""
+        sizes = {}
+        for name in ("scan_chunks", "peek_chunks"):
+
+            def spy(self, *args, _name=name, _original=getattr(SeriesStore, name), **kwargs):
+                for item in _original(self, *args, **kwargs):
+                    sizes.setdefault(_name, []).append(item[1].shape[0])
+                    yield item
+
+            monkeypatch.setattr(SeriesStore, name, spy)
+        chunk(ODD_CHUNKS[0])
+        build("dstree", dataset)
+        assert sizes["scan_chunks"] == [ODD_CHUNKS[0]] * (COUNT // ODD_CHUNKS[0]) + [
+            COUNT % ODD_CHUNKS[0]
+        ]
+        assert max(sizes["peek_chunks"]) == ODD_CHUNKS[0]
+
+    def test_chunk_default_matches_explicit(self, dataset, chunk):
+        default, _ = build("isax2+", dataset)  # the unpatched default chunk
+        chunk(COUNT)
+        explicit, _ = build("isax2+", dataset)
         assert tree_fingerprint(default) == tree_fingerprint(explicit)
 
 
 class TestShardedStreamedBuilds:
-    """build_chunk_rows flows through the sharded wrapper to every shard."""
+    """The patched chunk size reaches every shard.
+
+    The shards build on the thread executor: a process pool started before
+    the patch would build with the default chunk instead.
+    """
 
     @pytest.mark.parametrize("method_name", ["isax2+", "dstree"])
     def test_sharded_memory_vs_mmap_byte_identical(
-        self, dataset, mmap_dataset, queries, method_name
+        self, dataset, mmap_dataset, queries, method_name, chunk
     ):
         # workers=1 runs the identical fan-out sequentially, which keeps the
         # counters deterministic (with concurrent workers the cross-shard
         # shared radius makes pruning work timing-dependent; answers are
         # byte-identical either way and covered by the test below).
+        chunk(ODD_CHUNKS[0])
         params = dict(TREE_METHOD_PARAMS[method_name])
-        params.update(build_chunk_rows=ODD_CHUNKS[0], shards=2, workers=1)
+        params.update(shards=2, workers=1, executor="thread")
         mem = create_method(f"sharded:{method_name}", SeriesStore(dataset), **params)
         mm = create_method(
             f"sharded:{method_name}",
@@ -227,6 +269,7 @@ class TestShardedStreamedBuilds:
         try:
             assert query_facts(mem, queries) == query_facts(mm, queries)
             for shard_mem, shard_mm in zip(mem._shards, mm._shards):
+                assert shard_mem.method.store.rows_per_build_chunk == ODD_CHUNKS[0]
                 assert tree_fingerprint(shard_mem.method) == tree_fingerprint(
                     shard_mm.method
                 )
@@ -234,18 +277,21 @@ class TestShardedStreamedBuilds:
             mem.close()
             mm.close()
 
-    def test_sharded_matches_unsharded_answers(self, dataset, queries):
-        plain, _ = build("isax2+", dataset, build_chunk_rows=ODD_CHUNKS[0])
+    def test_sharded_matches_unsharded_answers(self, dataset, queries, chunk):
+        chunk(ODD_CHUNKS[0])
+        plain, _ = build("isax2+", dataset)
         sharded = create_method(
             "sharded:isax2+",
             SeriesStore(dataset),
             leaf_capacity=12,
-            build_chunk_rows=ODD_CHUNKS[0],
             shards=2,
             workers=2,
+            executor="thread",
         )
         sharded.build()
         try:
+            for shard in sharded._shards:
+                assert shard.method.store.rows_per_build_chunk == ODD_CHUNKS[0]
             for a, b in zip(
                 plain.knn_exact_batch(queries, k=5),
                 sharded.knn_exact_batch(queries, k=5),
@@ -260,17 +306,18 @@ class TestAppendAfterStreamedBuild:
     """The insert path must keep working after a streamed build."""
 
     @pytest.mark.parametrize("method_name", sorted(TREE_METHOD_PARAMS))
-    def test_append_after_streamed_build(self, method_name):
+    def test_append_after_streamed_build(self, method_name, chunk):
+        chunk(29, length=32)
         values = random_walk_dataset(150, 32, seed=11).values
         head = Dataset(values=values[:140].copy(), name="head")
         full = Dataset(values=values.copy(), name="full")
 
-        grown, _ = build(method_name, head, build_chunk_rows=29)
+        grown, _ = build(method_name, head)
         grown.store = SeriesStore(full)
         for position in range(140, 150):
             grown.append(position)
 
-        reference, _ = build(method_name, full, build_chunk_rows=29)
+        reference, _ = build(method_name, full)
         workload = synth_rand_workload(32, count=3, seed=13)
         for q in workload:
             a = grown.knn_exact(KnnQuery(series=q.series, k=5))
@@ -284,7 +331,7 @@ class TestAppendAfterStreamedBuild:
             result = grown.knn_exact(KnnQuery(series=probe, k=1))
             assert result.distances()[0] == pytest.approx(0.0, abs=1e-6)
 
-    def test_dstree_append_invalidates_bound_caches_after_streamed_build(self):
+    def test_dstree_append_invalidates_bound_caches_after_streamed_build(self, chunk):
         """Queries warm the cached child-bound matrices; appends through the
         streamed-build state must still invalidate them along the insert path
         (one row at a time, then the rest of the tail in one batch)."""
@@ -294,7 +341,8 @@ class TestAppendAfterStreamedBuild:
         head = Dataset(values=base.copy(), name="head")
         full = Dataset(values=np.vstack([base, outliers]), name="full")
 
-        method, _ = build("dstree", head, build_chunk_rows=23)
+        chunk(23, length=32)
+        method, _ = build("dstree", head)
         probes = outliers.astype(np.float64)
         for probe in probes:  # warm every node's cached bound matrices
             method.knn_exact(KnnQuery(series=probe, k=2))
@@ -307,16 +355,15 @@ class TestAppendAfterStreamedBuild:
             assert result.positions()[0] == 120 + i
             assert result.distances()[0] == pytest.approx(0.0, abs=1e-6)
 
-    def test_append_after_streamed_build_on_mmap(self, tmp_path):
+    def test_append_after_streamed_build_on_mmap(self, tmp_path, chunk):
         values = random_walk_dataset(90, 24, seed=23).values
         head_path = tmp_path / "head.npy"
         Dataset(values=values[:80].copy()).to_file(head_path)
         full_path = tmp_path / "full.npy"
         Dataset(values=values.copy()).to_file(full_path)
 
-        method, _ = build(
-            "isax2+", Dataset.from_file(head_path), backend="mmap", build_chunk_rows=13
-        )
+        chunk(13, length=24)
+        method, _ = build("isax2+", Dataset.from_file(head_path), backend="mmap")
         method.store = SeriesStore(Dataset.from_file(full_path), backend="mmap")
         for position in range(80, 90):
             method.append(position)
