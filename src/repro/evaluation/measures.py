@@ -83,10 +83,10 @@ def tlb_for_method(method, workload: QueryWorkload, max_leaves: int = 50) -> flo
     true Euclidean distance between the query and the series in that leaf.
     The reported value is the mean over leaves and queries.
 
-    The method must expose leaves with ``positions`` and a way to compute the
-    leaf-level lower bound; the computation below covers the index families in
-    this library (iSAX-based, DSTree, SFA trie, R*-tree) and falls back to a
-    summary-level TLB for the flat methods (VA+file).
+    The method must expose leaves with ``position_block()`` and a way to
+    compute the leaf-level lower bound; the computation below covers the index
+    families in this library (iSAX-based, DSTree, SFA trie, R*-tree) and falls
+    back to a summary-level TLB for the flat methods (VA+file).
     """
     leaves = _collect_leaves(method)
     ratios: list[float] = []
@@ -95,7 +95,7 @@ def tlb_for_method(method, workload: QueryWorkload, max_leaves: int = 50) -> flo
         q = np.asarray(query.series, dtype=np.float64)
         if leaves:
             for leaf, bound_fn in leaves[:max_leaves]:
-                positions = np.asarray(leaf_positions(leaf))
+                positions = leaf.position_block()
                 if positions.size == 0:
                     continue
                 true = np.sqrt(squared_euclidean_batch(q, data[positions]))
@@ -109,15 +109,6 @@ def tlb_for_method(method, workload: QueryWorkload, max_leaves: int = 50) -> flo
             if np.any(mask):
                 ratios.append(float(np.mean(bounds[mask] / true[mask])))
     return float(np.mean(ratios)) if ratios else 0.0
-
-
-def leaf_positions(leaf) -> list[int]:
-    """Positions stored in a leaf, across the different node classes."""
-    if hasattr(leaf, "positions"):
-        return list(leaf.positions)
-    if hasattr(leaf, "entries"):
-        return [entry.position for entry in leaf.entries]
-    return []
 
 
 def _collect_leaves(method):

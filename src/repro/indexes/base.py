@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import abc
 import heapq
+import itertools
 import threading
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
 
 import numpy as np
@@ -31,6 +33,18 @@ from ..core.stats import AccessCounter, IndexStats, QueryStats
 from ..core.storage import SeriesStore
 
 __all__ = ["SearchMethod", "SearchResult", "RangeSearchResult", "route_batch"]
+
+
+def frontier() -> tuple[list, Callable[[float, object], None]]:
+    """An empty heap for :meth:`SearchMethod._best_first` and its
+    ``push(bound, node)``: nodes whose bounds tie pop in push order."""
+    heap: list = []
+    tiebreak = itertools.count()
+
+    def push(bound: float, node) -> None:
+        heapq.heappush(heap, (bound, next(tiebreak), node))
+
+    return heap, push
 
 
 def route_batch(root, count: int, leaf_capacity: int, descend, deliver) -> None:
@@ -103,7 +117,7 @@ class RangeSearchResult:
 
 
 class SearchMethod(abc.ABC):
-    """Abstract base class for the ten evaluated methods.
+    """Abstract base class for the eleven registered methods.
 
     Lifecycle::
 
@@ -588,6 +602,28 @@ class SearchMethod(abc.ABC):
                     room -= size
             self._scan_leaves(leaves, query, answers, stats)
 
+    def _range_leaves(
+        self, stack: list, in_range, query: np.ndarray, radius: float, stats: QueryStats
+    ) -> RangeAnswerSet:
+        """Depth-first r-range traversal from the nodes on ``stack``.
+
+        ``in_range(node)`` returns an internal node's children whose lower
+        bound is within ``radius`` (and counts the bounds it computed).  The
+        radius is fixed, so the leaves to refine are known before any read:
+        they are collected first and refined in one :meth:`_scan_leaves`.
+        """
+        answers = RangeAnswerSet(radius=radius)
+        leaves = []
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                leaves.append(node)
+                continue
+            stats.nodes_visited += 1
+            stack.extend(in_range(node))
+        self._scan_leaves(leaves, query, answers, stats)
+        return answers
+
     def knn_approximate(self, query: KnnQuery) -> SearchResult:
         """Answer an ng-approximate k-NN query (one index path, one leaf)."""
         self._require_built()
@@ -606,11 +642,8 @@ class SearchMethod(abc.ABC):
     def range_exact(self, query: RangeQuery) -> RangeSearchResult:
         """Answer an exact r-range query (Definition 2 in the paper).
 
-        The default implementation seeds the pruning threshold with the query
-        radius and reuses the method's exact machinery indirectly: every method
-        overrides :meth:`_range_exact` where a better-than-scan strategy
-        exists; the base fallback is a full sequential scan, which is always
-        correct.
+        The best-first trees answer through :meth:`_range_leaves`, VA+file
+        with its own filter-and-refine pass; the rest fall back to a full scan.
         """
         self._require_built()
         before = self.store.counter_snapshot()
@@ -635,7 +668,11 @@ class SearchMethod(abc.ABC):
     def _range_exact(
         self, query: np.ndarray, radius: float, stats: QueryStats
     ) -> RangeAnswerSet:
-        """Fallback r-range search: a full scan of the raw data (always exact)."""
+        """Fallback r-range search: a full scan of the raw data (always exact).
+
+        Serves the methods whose exact search is a scan: UCR Suite, MASS,
+        flat, the stepwise index and ADS+ (SIMS).
+        """
         answers = RangeAnswerSet(radius=radius)
         data = self.store.scan()
         stats.series_examined += self.store.count

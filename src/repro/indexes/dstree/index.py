@@ -17,9 +17,6 @@ expensive (CPU-heavy) index construction, very fast queries.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-
 import numpy as np
 
 from ...core.answers import KnnAnswerSet, RangeAnswerSet
@@ -33,7 +30,7 @@ from ...summarization.eapca import (
     synopsis_from_statistics,
     synopsis_from_stream,
 )
-from ..base import SearchMethod, route_batch
+from ..base import SearchMethod, frontier, route_batch
 from .node import DsTreeNode, SplitPolicy
 
 __all__ = ["DsTreeIndex"]
@@ -422,15 +419,14 @@ class DsTreeIndex(SearchMethod):
         start_leaf = self._leaf_for(query)
         self._scan_leaves([start_leaf], query, answers, stats)
 
-        counter = itertools.count()
-        heap: list[tuple[float, int, DsTreeNode]] = []
+        heap, push_node = frontier()
         stats_for = self._query_stats_cache(query)
 
         def push(node: DsTreeNode, bound: float) -> None:
             stats.lower_bounds_computed += 1
             # <=: equality must not prune (positional tie-break on equal distances).
             if bound * bound <= answers.worst_squared_distance:
-                heapq.heappush(heap, (bound, next(counter), node))
+                push_node(bound, node)
 
         if self.root.synopsis is None:
             push(self.root, 0.0)
@@ -448,27 +444,17 @@ class DsTreeIndex(SearchMethod):
         self, query: np.ndarray, radius: float, stats: QueryStats
     ) -> RangeAnswerSet:
         """r-range query: visit every subtree whose synopsis bound is within range."""
-        answers = RangeAnswerSet(radius=radius)
         stats_for = self._query_stats_cache(query)
         root_bound = 0.0 if self.root.synopsis is None else self.root.synopsis.lower_bound(query)
         stats.lower_bounds_computed += 1
-        if root_bound > radius:
-            return answers
-        # The radius is fixed, so the leaves to scan are known before any read.
-        leaves = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                leaves.append(node)
-                continue
-            stats.nodes_visited += 1
-            for child, bound in self._children_bounds(node, stats_for):
-                stats.lower_bounds_computed += 1
-                if bound <= radius:
-                    stack.append(child)
-        self._scan_leaves(leaves, query, answers, stats)
-        return answers
+
+        def in_range(node: DsTreeNode) -> list[DsTreeNode]:
+            children = self._children_bounds(node, stats_for)
+            stats.lower_bounds_computed += len(children)
+            return [child for child, bound in children if bound <= radius]
+
+        stack = [] if root_bound > radius else [self.root]
+        return self._range_leaves(stack, in_range, query, radius, stats)
 
     def describe(self) -> dict:
         info = super().describe()

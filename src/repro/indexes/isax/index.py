@@ -155,7 +155,6 @@ class Isax2PlusIndex(SearchMethod):
         self, query: np.ndarray, radius: float, stats: QueryStats
     ) -> RangeAnswerSet:
         """r-range query: visit every node whose MINDIST is within the radius."""
-        answers = RangeAnswerSet(radius=radius)
         paa = self.summarizer.paa.transform(query)
 
         def in_range_children(parent: IsaxNode) -> list[IsaxNode]:
@@ -168,18 +167,8 @@ class Isax2PlusIndex(SearchMethod):
             stats.lower_bounds_computed += len(children)
             return [c for c, b in zip(children, bounds) if b <= radius]
 
-        # The radius is fixed, so the leaves to scan are known before any read.
-        leaves = []
         stack = in_range_children(self.tree.root)
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                leaves.append(node)
-                continue
-            stats.nodes_visited += 1
-            stack.extend(in_range_children(node))
-        self._scan_leaves(leaves, query, answers, stats)
-        return answers
+        return self._range_leaves(stack, in_range_children, query, radius, stats)
 
     def describe(self) -> dict:
         info = super().describe()

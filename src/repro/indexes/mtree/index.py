@@ -7,12 +7,17 @@ with the triangle inequality: a subtree rooted at routing object ``r`` with
 radius ``rad`` cannot contain anything closer to the query than
 ``d(q, r) - rad``.  The tree works directly in the original high-dimensional
 space, which is why (as the paper observes) it struggles at data series scale.
+
+Only routing objects are held in memory; leaves keep positions, and their
+series are read from the store — whole, through the shared best-first loop
+(:meth:`~repro.indexes.base.SearchMethod._best_first`) and range loop, as on
+every other tree.  A leaf split re-reads its rows unaccounted, as DSTree's
+does.  Rows are inserted one at a time in arrival order, by the build and by
+``extend()`` alike.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -23,17 +28,18 @@ from ...core.distance import euclidean
 from ...core.queries import KnnQuery
 from ...core.stats import QueryStats
 from ...core.storage import SeriesStore
-from ..base import SearchMethod
+from ..base import SearchMethod, frontier
 
 __all__ = ["MTreeIndex", "MTreeNode"]
 
 
 @dataclass
 class _Entry:
-    """One entry of an M-tree node (data object or routing object)."""
+    """One entry of an M-tree node: a data object (leaf), whose series stays
+    in the store, or a routing object, which owns a float64 copy of its own."""
 
     position: int
-    vector: np.ndarray
+    vector: np.ndarray | None = None
     distance_to_parent: float = 0.0
     radius: float = 0.0
     subtree: "MTreeNode | None" = None
@@ -63,6 +69,10 @@ class MTreeNode:
     def leaves(self):
         return [node for node in self.iter_nodes() if node.is_leaf]
 
+    def position_block(self) -> np.ndarray:
+        """The leaf's positions as one int64 vector."""
+        return np.fromiter((e.position for e in self.entries), np.int64, len(self.entries))
+
 
 class MTreeIndex(SearchMethod):
     """M-tree metric index.
@@ -86,13 +96,20 @@ class MTreeIndex(SearchMethod):
             raise ValueError("node_capacity must be at least 2")
         self.node_capacity = node_capacity
         self.root = MTreeNode(is_leaf=True)
-        self._distance_computations = 0
+
+    @property
+    def leaf_capacity(self) -> int:
+        """Entries per leaf: the node capacity (the unit leaves are read in)."""
+        return self.node_capacity
 
     # -- construction -------------------------------------------------------------
     def _build(self) -> None:
-        data = self.store.scan()
-        for position in range(self.store.count):
-            self._insert(position, data[position].astype(np.float64))
+        for rows, block in self.store.scan_blocks():
+            self._insert_block(rows.start, block)
+
+    def _insert_block(self, start: int, block: np.ndarray) -> None:
+        for offset, vector in enumerate(block):
+            self._insert(start + offset, vector)
 
     def _insert(self, position: int, vector: np.ndarray) -> None:
         node = self._choose_leaf(self.root, vector)
@@ -100,9 +117,7 @@ class MTreeIndex(SearchMethod):
         dist = (
             euclidean(vector, parent_entry.vector) if parent_entry is not None else 0.0
         )
-        node.entries.append(
-            _Entry(position=position, vector=vector, distance_to_parent=dist)
-        )
+        node.entries.append(_Entry(position=position, distance_to_parent=dist))
         self._propagate_radius(node, vector)
         if node.size > self.node_capacity:
             self._split(node)
@@ -113,7 +128,6 @@ class MTreeIndex(SearchMethod):
             best_key = None
             for entry in node.entries:
                 dist = euclidean(vector, entry.vector)
-                self._distance_computations += 1
                 # Prefer subtrees that need no radius enlargement, then closest.
                 enlargement = max(0.0, dist - entry.radius)
                 key = (enlargement, dist)
@@ -135,33 +149,44 @@ class MTreeIndex(SearchMethod):
             if current is None:
                 break
 
+    def _leaf_rows(self, node: MTreeNode) -> np.ndarray:
+        """A leaf's series, re-read through the unaccounted (verified) peek."""
+        positions = node.position_block()
+        rows = np.empty((positions.size, self.store.length), dtype=np.float64)
+        for part, block in self.store.peek_chunks(positions):
+            rows[part] = block
+        return rows
+
     def _split(self, node: MTreeNode) -> None:
         entries = node.entries
+        vectors = self._leaf_rows(node) if node.is_leaf else [e.vector for e in entries]
         # Promotion: pick the two entries farthest apart (mM_RAD-style heuristic
         # on a sample to keep construction tractable).
-        sample = entries if len(entries) <= 32 else entries[:: max(1, len(entries) // 32)]
+        sample = range(0, len(entries), 1 if len(entries) <= 32 else len(entries) // 32)
         best_pair = None
         best_distance = -1.0
-        for i in range(len(sample)):
-            for j in range(i + 1, len(sample)):
-                dist = euclidean(sample[i].vector, sample[j].vector)
-                self._distance_computations += 1
+        for a, i in enumerate(sample):
+            for j in sample[a + 1 :]:
+                dist = euclidean(vectors[i], vectors[j])
                 if dist > best_distance:
                     best_distance = dist
-                    best_pair = (sample[i], sample[j])
-        first, second = best_pair
+                    best_pair = (i, j)
+        first, second = (vectors[i] for i in best_pair)
 
         left = MTreeNode(is_leaf=node.is_leaf)
         right = MTreeNode(is_leaf=node.is_leaf)
-        left_entry = _Entry(position=first.position, vector=first.vector, subtree=left)
-        right_entry = _Entry(position=second.position, vector=second.vector, subtree=right)
+        # Routing objects own their vectors: a view would pin the re-read rows.
+        left_entry = _Entry(entries[best_pair[0]].position, np.array(first), subtree=left)
+        right_entry = _Entry(entries[best_pair[1]].position, np.array(second), subtree=right)
 
-        # Generalized hyperplane partition.
-        for entry in entries:
-            d_left = euclidean(entry.vector, first.vector)
-            d_right = euclidean(entry.vector, second.vector)
-            self._distance_computations += 2
-            if d_left <= d_right:
+        # Generalized hyperplane partition, ties to the left.  Promoted objects
+        # that coincide make every entry a tie: the node is then cut in half,
+        # as a split that left one side empty would leave an empty node.
+        ties_left = len(entries) if best_distance > 0.0 else len(entries) // 2
+        for index, (entry, vector) in enumerate(zip(entries, vectors)):
+            d_left = euclidean(vector, first)
+            d_right = euclidean(vector, second)
+            if d_left < d_right or (d_left == d_right and index < ties_left):
                 target, target_entry, dist = left, left_entry, d_left
             else:
                 target, target_entry, dist = right, right_entry, d_right
@@ -220,38 +245,15 @@ class MTreeIndex(SearchMethod):
                 node = node.parent
             depths.append(depth)
         self.index_stats.leaf_depths = depths
-        # The M-tree stores full vectors in every node: memory-resident index.
-        vector_bytes = self.store.length * 8
-        entry_count = sum(node.size for node in self.root.iter_nodes())
-        self.index_stats.memory_bytes = entry_count * (vector_bytes + 32)
-        self.index_stats.disk_bytes = 0
+        # Routing objects (with their vectors) stay in memory; every data
+        # object is one position plus its parent distance, its series on disk.
+        routing = sum(node.size for node in self.root.iter_nodes() if not node.is_leaf)
+        self.index_stats.memory_bytes = (
+            routing * self.store.length * 8 + (routing + self.store.count) * 32
+        )
+        self.index_stats.disk_bytes = self.store.count * self.store.series_bytes
 
     # -- search ---------------------------------------------------------------------
-    def _scan_leaf(
-        self,
-        node: MTreeNode,
-        query: np.ndarray,
-        answers: KnnAnswerSet,
-        stats: QueryStats,
-        query_parent_distance: float | None = None,
-    ) -> None:
-        positions = [entry.position for entry in node.entries]
-        if not positions:
-            return
-        self.store.read_block(np.asarray(positions))
-        stats.leaves_visited += 1
-        stats.nodes_visited += 1
-        for entry in node.entries:
-            if query_parent_distance is not None and answers.is_full:
-                # Triangle-inequality pre-filter using stored parent distances.
-                gap = abs(query_parent_distance - entry.distance_to_parent)
-                if gap * gap > answers.worst_squared_distance:
-                    continue
-            diff = query - entry.vector
-            distance = float(np.dot(diff, diff))
-            stats.series_examined += 1
-            answers.offer(entry.position, distance)
-
     def _knn_approximate(
         self, query: np.ndarray, k: int, stats: QueryStats
     ) -> KnnAnswerSet:
@@ -261,7 +263,7 @@ class MTreeIndex(SearchMethod):
             best = min(node.entries, key=lambda e: euclidean(query, e.vector))
             stats.nodes_visited += 1
             node = best.subtree
-        self._scan_leaf(node, query, answers, stats)
+        self._scan_leaves([node], query, answers, stats)
         return answers
 
     def _knn_exact(self, query: np.ndarray, k: int, stats: QueryStats) -> KnnAnswerSet:
@@ -293,55 +295,38 @@ class MTreeIndex(SearchMethod):
     def _knn_bounded(
         self, query: np.ndarray, k: int, stats: QueryStats, epsilon: float
     ) -> KnnAnswerSet:
+        """Best-first search whose heap keys are the subtree bounds scaled by
+        ``1 + epsilon`` (exactly 1.0, so the exact search, at ``epsilon = 0``)."""
         answers = self._make_answer_set(k)
-        inflation = (1.0 + epsilon) ** 2
-        counter = itertools.count()
-        heap: list[tuple[float, int, MTreeNode, float]] = []
-        heapq.heappush(heap, (0.0, next(counter), self.root, 0.0))
-        while heap:
-            bound, _, node, parent_distance = heapq.heappop(heap)
-            # Strict >: with epsilon = 0 this is the exact algorithm, so
-            # equality must not prune (positional tie-break).
-            if bound * bound * inflation > answers.worst_squared_distance:
-                break
-            if node.is_leaf:
-                self._scan_leaf(node, query, answers, stats, parent_distance)
-                continue
-            stats.nodes_visited += 1
+        scale = 1.0 + epsilon
+        heap, push = frontier()
+        push(0.0, self.root)
+
+        def expand(node: MTreeNode) -> None:
             for entry in node.entries:
-                dist = euclidean(query, entry.vector)
                 stats.lower_bounds_computed += 1
-                lower = max(0.0, dist - entry.radius)
-                if lower * lower * inflation <= answers.worst_squared_distance:
-                    heapq.heappush(heap, (lower, next(counter), entry.subtree, dist))
+                key = max(0.0, euclidean(query, entry.vector) - entry.radius) * scale
+                # <=: equality must not prune (positional tie-break).
+                if key * key <= answers.worst_squared_distance:
+                    push(key, entry.subtree)
+
+        self._best_first(heap, expand, None, query, answers, stats)
         return answers
 
     def _range_exact(
         self, query: np.ndarray, radius: float, stats: QueryStats
     ) -> RangeAnswerSet:
         """r-range query using the covering radii (exact, no false dismissals)."""
-        answers = RangeAnswerSet(radius=radius)
-        stack = [(self.root, None)]
-        while stack:
-            node, parent_distance = stack.pop()
-            if node.is_leaf:
-                positions = [entry.position for entry in node.entries]
-                if positions:
-                    self.store.read_block(np.asarray(positions))
-                    stats.leaves_visited += 1
-                for entry in node.entries:
-                    diff = query - entry.vector
-                    sq = float(np.dot(diff, diff))
-                    stats.series_examined += 1
-                    answers.offer(entry.position, sq)
-                continue
-            stats.nodes_visited += 1
-            for entry in node.entries:
-                dist = euclidean(query, entry.vector)
-                stats.lower_bounds_computed += 1
-                if dist - entry.radius <= radius:
-                    stack.append((entry.subtree, dist))
-        return answers
+
+        def in_range(node: MTreeNode) -> list[MTreeNode]:
+            stats.lower_bounds_computed += node.size
+            return [
+                entry.subtree
+                for entry in node.entries
+                if euclidean(query, entry.vector) - entry.radius <= radius
+            ]
+
+        return self._range_leaves([self.root], in_range, query, radius, stats)
 
     def describe(self) -> dict:
         info = super().describe()

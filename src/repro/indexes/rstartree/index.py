@@ -5,25 +5,25 @@ a point in the (low-dimensional) PAA space, leaves group points into minimum
 bounding rectangles (MBRs), and internal nodes keep the MBR of their children.
 The classic R*-tree insertion heuristics are used (choose-subtree by minimum
 overlap/area enlargement, split by the topological margin/overlap criteria,
-forced reinsertion on the first overflow of a level).  Query answering is
-best-first on the PAA-space MINDIST (scaled by the segment width so it lower
-bounds the true Euclidean distance), with leaf refinement on the raw data.
+forced reinsertion on the first overflow of a level); choose-subtree scores
+all children at once on their stacked ``(children, segments)`` bounds.  Rows
+are inserted one at a time in arrival order, by the build and by ``extend()``
+alike.  Query answering is best-first on the PAA-space MINDIST (scaled by the
+segment width so it lower bounds the true Euclidean distance), through the
+shared best-first and range loops, with leaves refined on the raw data.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...core.answers import KnnAnswerSet
-from ...core.distance import squared_euclidean_batch
+from ...core.answers import KnnAnswerSet, RangeAnswerSet
 from ...core.stats import QueryStats
 from ...core.storage import SeriesStore
 from ...summarization.paa import PaaSummarizer
-from ..base import SearchMethod
+from ..base import SearchMethod, frontier
 
 __all__ = ["RStarTreeIndex", "RStarNode"]
 
@@ -58,6 +58,10 @@ class RStarNode:
     def leaves(self):
         return [node for node in self.iter_nodes() if node.is_leaf]
 
+    def position_block(self) -> np.ndarray:
+        """The leaf's positions as one int64 vector."""
+        return np.asarray(self.positions, dtype=np.int64)
+
     # -- geometry ----------------------------------------------------------------
     def recompute_mbr(self) -> None:
         if self.is_leaf:
@@ -84,28 +88,24 @@ class RStarNode:
             self.lower = np.minimum(self.lower, point_lower)
             self.upper = np.maximum(self.upper, point_upper)
 
-    @property
-    def area(self) -> float:
-        if self.lower is None:
-            return 0.0
-        return float(np.prod(self.upper - self.lower))
 
-    @property
-    def margin(self) -> float:
-        if self.lower is None:
-            return 0.0
-        return float(np.sum(self.upper - self.lower))
+def _volumes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Volume of each rectangle (rows of ``lower`` / ``upper``)."""
+    return np.prod(upper - lower, axis=-1)
 
 
-def _enlargement(lower: np.ndarray, upper: np.ndarray, point: np.ndarray) -> float:
-    new_lower = np.minimum(lower, point)
-    new_upper = np.maximum(upper, point)
-    return float(np.prod(new_upper - new_lower) - np.prod(upper - lower))
-
-
-def _overlap(a_low, a_high, b_low, b_high) -> float:
+def _overlaps(a_low, a_high, b_low, b_high) -> np.ndarray:
+    """Volume of each intersection of the (broadcast) rectangles ``a`` and ``b``."""
     inter = np.clip(np.minimum(a_high, b_high) - np.maximum(a_low, b_low), 0.0, None)
-    return float(np.prod(inter))
+    return np.prod(inter, axis=-1)
+
+
+def _overlap_sums(low: np.ndarray, high: np.ndarray, lows: np.ndarray, highs: np.ndarray):
+    """Per rectangle ``i`` of ``low`` / ``high``, its summed overlap with every
+    rectangle of ``lows`` / ``highs`` except the ``i``-th, added left to right."""
+    pairs = _overlaps(low[:, np.newaxis], high[:, np.newaxis], lows, highs)
+    np.fill_diagonal(pairs, 0.0)
+    return np.cumsum(pairs, axis=1)[:, -1]
 
 
 class RStarTreeIndex(SearchMethod):
@@ -151,11 +151,13 @@ class RStarTreeIndex(SearchMethod):
 
     # -- construction --------------------------------------------------------------
     def _build(self) -> None:
-        data = self.store.scan()
-        paa = self.summarizer.transform_batch(data)
-        for position in range(self.store.count):
+        for rows, block in self.store.scan_blocks():
+            self._insert_block(rows.start, block)
+
+    def _insert_block(self, start: int, block: np.ndarray) -> None:
+        for offset, point in enumerate(self.summarizer.transform_batch(block)):
             self._reinserted_levels.clear()
-            self._insert(position, paa[position])
+            self._insert(start + offset, point)
 
     def _capacity(self, node: RStarNode) -> int:
         return self.leaf_capacity if node.is_leaf else self.node_capacity
@@ -164,33 +166,20 @@ class RStarTreeIndex(SearchMethod):
         node = self.root
         while not node.is_leaf:
             children = node.children
+            lows = np.array([c.lower for c in children])
+            highs = np.array([c.upper for c in children])
+            grown_low, grown_high = np.minimum(lows, point), np.maximum(highs, point)
+            areas = _volumes(lows, highs)
+            enlargement = (_volumes(grown_low, grown_high) - areas).tolist()
             if children[0].is_leaf:
                 # Minimum overlap enlargement, ties by area enlargement.
-                def overlap_cost(child: RStarNode) -> tuple:
-                    new_low = np.minimum(child.lower, point)
-                    new_high = np.maximum(child.upper, point)
-                    overlap_now = sum(
-                        _overlap(child.lower, child.upper, o.lower, o.upper)
-                        for o in children
-                        if o is not child
-                    )
-                    overlap_new = sum(
-                        _overlap(new_low, new_high, o.lower, o.upper)
-                        for o in children
-                        if o is not child
-                    )
-                    return (
-                        overlap_new - overlap_now,
-                        _enlargement(child.lower, child.upper, point),
-                        child.area,
-                    )
-
-                node = min(children, key=overlap_cost)
-            else:
-                node = min(
-                    children,
-                    key=lambda c: (_enlargement(c.lower, c.upper, point), c.area),
+                overlap = _overlap_sums(grown_low, grown_high, lows, highs) - _overlap_sums(
+                    lows, highs, lows, highs
                 )
+                keys = list(zip(overlap.tolist(), enlargement, areas.tolist()))
+            else:
+                keys = list(zip(enlargement, areas.tolist()))
+            node = children[min(range(len(children)), key=keys.__getitem__)]
         return node
 
     def _insert(self, position: int, point: np.ndarray) -> None:
@@ -269,8 +258,8 @@ class RStarTreeIndex(SearchMethod):
             left_high = points[left_idx].max(axis=0)
             right_low = points[right_idx].min(axis=0)
             right_high = points[right_idx].max(axis=0)
-            overlap = _overlap(left_low, left_high, right_low, right_high)
-            area = float(np.prod(left_high - left_low) + np.prod(right_high - right_low))
+            overlap = float(_overlaps(left_low, left_high, right_low, right_high))
+            area = float(_volumes(left_low, left_high) + _volumes(right_low, right_high))
             cost = (overlap, area)
             if best_cost is None or cost < best_cost:
                 best_cost = cost
@@ -346,22 +335,6 @@ class RStarTreeIndex(SearchMethod):
             return float("inf")
         return self.summarizer.mindist_to_rectangle(query_paa, node.lower, node.upper)
 
-    def _scan_leaf(
-        self,
-        node: RStarNode,
-        query: np.ndarray,
-        answers: KnnAnswerSet,
-        stats: QueryStats,
-    ) -> None:
-        if not node.positions:
-            return
-        block = self.store.read_block(np.asarray(node.positions))
-        distances = squared_euclidean_batch(query, block)
-        answers.offer_batch(np.asarray(node.positions), distances)
-        stats.series_examined += len(node.positions)
-        stats.leaves_visited += 1
-        stats.nodes_visited += 1
-
     def _knn_approximate(
         self, query: np.ndarray, k: int, stats: QueryStats
     ) -> KnnAnswerSet:
@@ -371,30 +344,37 @@ class RStarTreeIndex(SearchMethod):
         while not node.is_leaf:
             stats.nodes_visited += 1
             node = min(node.children, key=lambda c: self._mindist(query_paa, c))
-        self._scan_leaf(node, query, answers, stats)
+        self._scan_leaves([node], query, answers, stats)
         return answers
 
     def _knn_exact(self, query: np.ndarray, k: int, stats: QueryStats) -> KnnAnswerSet:
         answers = self._make_answer_set(k)
         query_paa = self.summarizer.transform(query)
-        counter = itertools.count()
-        heap: list[tuple[float, int, RStarNode]] = []
-        heapq.heappush(heap, (self._mindist(query_paa, self.root), next(counter), self.root))
-        while heap:
-            bound, _, node = heapq.heappop(heap)
-            # Strict >: equality must not prune (positional tie-break).
-            if bound * bound > answers.worst_squared_distance:
-                break
-            if node.is_leaf:
-                self._scan_leaf(node, query, answers, stats)
-                continue
-            stats.nodes_visited += 1
+        heap, push = frontier()
+        push(self._mindist(query_paa, self.root), self.root)
+
+        def expand(node: RStarNode) -> None:
             for child in node.children:
-                child_bound = self._mindist(query_paa, child)
+                bound = self._mindist(query_paa, child)
                 stats.lower_bounds_computed += 1
-                if child_bound * child_bound <= answers.worst_squared_distance:
-                    heapq.heappush(heap, (child_bound, next(counter), child))
+                # <=: equality must not prune (positional tie-break).
+                if bound * bound <= answers.worst_squared_distance:
+                    push(bound, child)
+
+        self._best_first(heap, expand, None, query, answers, stats)
         return answers
+
+    def _range_exact(
+        self, query: np.ndarray, radius: float, stats: QueryStats
+    ) -> RangeAnswerSet:
+        """r-range query: visit every node whose MINDIST is within the radius."""
+        query_paa = self.summarizer.transform(query)
+
+        def in_range(node: RStarNode) -> list[RStarNode]:
+            stats.lower_bounds_computed += node.size
+            return [c for c in node.children if self._mindist(query_paa, c) <= radius]
+
+        return self._range_leaves([self.root], in_range, query, radius, stats)
 
     def describe(self) -> dict:
         info = super().describe()

@@ -15,13 +15,11 @@ is the SFA cell distance restricted to the prefix available at a node.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...core.answers import KnnAnswerSet
+from ...core.answers import KnnAnswerSet, RangeAnswerSet
 from ...core.soa import GrowableArray, group_values, position_vector
 from ...core.stats import QueryStats
 from ...core.storage import SeriesStore
@@ -31,7 +29,7 @@ from ...summarization.sfa import (
     prefix_groups,
     words_stream,
 )
-from ..base import SearchMethod, route_batch
+from ..base import SearchMethod, frontier, route_batch
 
 __all__ = ["SfaTrieIndex", "SfaTrieNode"]
 
@@ -291,8 +289,7 @@ class SfaTrieIndex(SearchMethod):
         if start_leaf is not None:
             self._scan_leaves([start_leaf], query, answers, stats)
 
-        counter = itertools.count()
-        heap: list[tuple[float, int, SfaTrieNode]] = []
+        heap, push = frontier()
 
         def push_children(parent: SfaTrieNode, prune: bool = True) -> None:
             if not parent.children:
@@ -305,11 +302,27 @@ class SfaTrieIndex(SearchMethod):
                 # Strict >: equality must not prune (positional tie-break).
                 if prune and child_bound * child_bound > threshold:
                     continue
-                heapq.heappush(heap, (float(child_bound), next(counter), child))
+                push(float(child_bound), child)
 
         push_children(self.root, prune=False)
         self._best_first(heap, push_children, start_leaf, query, answers, stats)
         return answers
+
+    def _range_exact(
+        self, query: np.ndarray, radius: float, stats: QueryStats
+    ) -> RangeAnswerSet:
+        """r-range query: visit every node whose prefix bound is within the radius."""
+        query_dft = self.summarizer.dft_of(query)
+
+        def in_range(parent: SfaTrieNode) -> list[SfaTrieNode]:
+            if not parent.children:
+                return []
+            children, prefixes = parent.child_arrays()
+            bounds = self.summarizer.prefix_lower_bound_batch(query_dft, prefixes)
+            stats.lower_bounds_computed += len(children)
+            return [child for child, bound in zip(children, bounds) if bound <= radius]
+
+        return self._range_leaves(in_range(self.root), in_range, query, radius, stats)
 
     def describe(self) -> dict:
         info = super().describe()

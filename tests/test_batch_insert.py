@@ -1,11 +1,15 @@
 """Batch-routed inserts leave the tree per-row inserts leave, bit for bit.
 
-``extend(start, stop)`` descends each tree once per batch.  The reference it
-is held to lives here: the one-series-at-a-time insert loops the four tree
-indexes used to run (route one series down its path, widen one synopsis per
-level, add one position, split on overflow), written against the pieces both
-paths share (``_split_leaf``, the summarizers).  Whatever the batch sizes, the
-two must agree on the tree's fingerprint, on answers, and on every counter.
+``extend(start, stop)`` descends each of the four summarization trees once per
+batch.  The reference it is held to lives here: the one-series-at-a-time
+insert loops those trees used to run (route one series down its path, widen
+one synopsis per level, add one position, split on overflow), written against
+the pieces both paths share (``_split_leaf``, the summarizers).  M-tree and
+R*-tree insert per row through ``_insert_block`` on every path, so their
+reference is their own one-row ``_insert`` — and ``build()`` is the same
+loop, so it must leave the tree a build over a prefix plus ``extend()``
+leaves.  Whatever the batch sizes, the paths must agree on the tree's
+fingerprint, on answers, and on every counter.
 """
 
 from __future__ import annotations
@@ -37,7 +41,13 @@ TREES = {
     "ads+": {"leaf_capacity": LEAF, "segments": 4, "cardinality": 8},
     "dstree": {"leaf_capacity": LEAF, "initial_segments": 2, "buffer_capacity": 4},
     "sfa-trie": {"leaf_capacity": LEAF, "coefficients": 3, "alphabet_size": 6},
+    "m-tree": {"node_capacity": LEAF},
+    "r*-tree": {"leaf_capacity": LEAF, "node_capacity": 3, "segments": 4},
 }
+#: the trees whose ``extend()`` routes a batch down the tree in one descent.
+ROUTED = ("isax2+", "ads+", "dstree", "sfa-trie")
+#: the trees that insert row by row, at build time too.
+PER_ROW = ("m-tree", "r*-tree")
 
 
 # --------------------------------------------------------------------------- #
@@ -140,11 +150,23 @@ def insert_sfa(method, position):
         method._split_leaf(node)
 
 
+def insert_mtree(method, position):
+    method._insert(position, _series(method, position))
+
+
+def insert_rstar(method, position):
+    method._reinserted_levels.clear()
+    series = _series(method, position)
+    method._insert(position, method.summarizer.transform_batch(series[np.newaxis, :])[0])
+
+
 REFERENCE = {
     "isax2+": insert_isax,
     "ads+": insert_ads,
     "dstree": insert_dstree,
     "sfa-trie": insert_sfa,
+    "m-tree": insert_mtree,
+    "r*-tree": insert_rstar,
 }
 
 
@@ -159,9 +181,26 @@ def _walk(root, children):
         stack.extend(reversed(children(node)))
 
 
+def _hexes(bounds):
+    return None if bounds is None else [v.hex() for v in bounds.tolist()]
+
+
 def fingerprint(method):
     """Everything a tree decides: shape, child order, words/policies/thresholds,
-    leaf position vectors and payloads, synopsis ranges as exact floats."""
+    leaf position vectors and payloads, synopsis ranges, covering radii and
+    rectangles as exact floats."""
+    if method.name == "m-tree":
+        nodes = _walk(method.root, lambda n: [e.subtree for e in n.entries if e.subtree])
+        return [
+            (n.is_leaf, [(e.position, e.distance_to_parent.hex(), e.radius.hex())
+                         for e in n.entries])
+            for n in nodes
+        ]
+    if method.name == "r*-tree":
+        return [
+            (n.is_leaf, n.level, list(n.positions), _hexes(n.lower), _hexes(n.upper))
+            for n in _walk(method.root, lambda n: n.children)
+        ]
     if method.name == "dstree":
         out = []
         for node in _walk(method.root, lambda n: [c for c in (n.left, n.right) if c]):
@@ -331,7 +370,24 @@ def test_isax2plus_and_adsplus_hold_the_same_tree(buffer_capacity, seed, prefix,
     assert len(isax[1]) >= len(isax[0]) > 1
 
 
-@pytest.mark.parametrize("name", sorted(TREES))
+@pytest.mark.parametrize("name", PER_ROW)
+@given(seed=st.integers(0, 10_000), prefix=st.integers(1, 60), batches=BATCH_SIZES)
+@settings(max_examples=12, deadline=None)
+def test_build_leaves_the_tree_a_prefix_build_and_extend_leave(name, seed, prefix, batches):
+    values, _ = _collection(seed, 60, sum(batches))
+    full = create_method(name, SeriesStore(Dataset(values=values.copy())), **TREES[name])
+    full.build()
+    grown = create_method(name, SeriesStore(Dataset(values=values[:prefix].copy())), **TREES[name])
+    grown.build()
+    grown.store = SeriesStore(Dataset(values=values.copy()))
+    start = prefix
+    for size in batches + [len(values) - prefix - sum(batches)]:
+        start += grown.extend(start, start + size)
+    assert fingerprint(grown) == fingerprint(full)
+    assert len(fingerprint(full)) > 3
+
+
+@pytest.mark.parametrize("name", sorted(ROUTED))
 def test_duplicates_beyond_a_leaf_in_one_batch(name):
     """A leaf no split can divide keeps growing: DSTree and iSAX re-attempt
     the split after every further row (a different row may make it possible),

@@ -42,6 +42,8 @@ TREE_PARAMS = {
     "isax2+": {"leaf_capacity": 12, "segments": 4},
     "dstree": {"leaf_capacity": 12},
     "sfa-trie": {"leaf_capacity": 12, "coefficients": 6},
+    "m-tree": {"node_capacity": 12},
+    "r*-tree": {"leaf_capacity": 12, "segments": 4},
 }
 K = 5
 

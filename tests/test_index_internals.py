@@ -6,7 +6,14 @@ import pytest
 from repro.indexes.dstree.node import DsTreeNode, SplitPolicy
 from repro.indexes.isax.node import IsaxNode
 from repro.indexes.isax.tree import IsaxTree
-from repro.indexes.rstartree.index import RStarNode, _enlargement, _overlap
+from repro import SeriesStore
+from repro.indexes.rstartree.index import (
+    RStarNode,
+    RStarTreeIndex,
+    _overlap_sums,
+    _overlaps,
+    _volumes,
+)
 from repro.indexes.sfa_trie.index import SfaTrieNode
 from repro.summarization.sax import IsaxSummarizer, SaxWord
 from repro.workloads import random_walk_dataset
@@ -105,8 +112,7 @@ class TestRStarGeometry:
         node.recompute_mbr()
         assert np.allclose(node.lower, [0.0, -1.0])
         assert np.allclose(node.upper, [2.0, 1.0])
-        assert node.margin == pytest.approx(4.0)
-        assert node.area == pytest.approx(4.0)
+        assert _volumes(node.lower, node.upper) == pytest.approx(4.0)
 
     def test_extend(self):
         node = RStarNode(is_leaf=True)
@@ -117,25 +123,83 @@ class TestRStarGeometry:
         assert np.allclose(node.upper, [1.0, 2.0])
 
     def test_enlargement_zero_inside(self):
-        lower, upper = np.array([0.0, 0.0]), np.array([2.0, 2.0])
-        assert _enlargement(lower, upper, np.array([1.0, 1.0])) == pytest.approx(0.0)
-        assert _enlargement(lower, upper, np.array([3.0, 1.0])) > 0
+        lows, highs = np.array([[0.0, 0.0], [5.0, 5.0]]), np.array([[2.0, 2.0], [6.0, 6.0]])
+        point = np.array([1.0, 1.0])
+        grown = _volumes(np.minimum(lows, point), np.maximum(highs, point))
+        enlargement = grown - _volumes(lows, highs)
+        assert enlargement[0] == pytest.approx(0.0)
+        assert enlargement[1] > 0
 
     def test_overlap(self):
-        assert _overlap(
+        overlaps = _overlaps(
             np.array([0.0, 0.0]), np.array([2.0, 2.0]),
-            np.array([1.0, 1.0]), np.array([3.0, 3.0]),
-        ) == pytest.approx(1.0)
-        assert _overlap(
-            np.array([0.0, 0.0]), np.array([1.0, 1.0]),
-            np.array([2.0, 2.0]), np.array([3.0, 3.0]),
-        ) == pytest.approx(0.0)
+            np.array([[1.0, 1.0], [2.5, 2.5]]), np.array([[3.0, 3.0], [3.0, 3.0]]),
+        )
+        assert overlaps.tolist() == pytest.approx([1.0, 0.0])
+
+    def test_overlap_sums_skip_self_and_add_left_to_right(self):
+        """Bit for bit the per-pair loop choose-subtree used to run."""
+        rng = np.random.default_rng(3)
+        lows = rng.random((9, 4))
+        highs = lows + rng.random((9, 4))
+        pairwise = [
+            sum(
+                float(np.prod(np.clip(np.minimum(highs[i], highs[j])
+                                      - np.maximum(lows[i], lows[j]), 0.0, None)))
+                for j in range(9)
+                if j != i
+            )
+            for i in range(9)
+        ]
+        assert _overlap_sums(lows, highs, lows, highs).tolist() == pairwise
+
+    def test_choose_subtree_leaves_the_tree_the_per_child_loop_leaves(self, monkeypatch):
+        """The array form scores children bit for bit as the per-child loop did."""
+
+        def overlap(a_low, a_high, b_low, b_high):
+            inter = np.clip(np.minimum(a_high, b_high) - np.maximum(a_low, b_low), 0.0, None)
+            return float(np.prod(inter))
+
+        def enlargement(child, point):
+            grown = np.prod(np.maximum(child.upper, point) - np.minimum(child.lower, point))
+            return float(grown - np.prod(child.upper - child.lower))
+
+        def per_child_choose_leaf(self, point):
+            node = self.root
+            while not node.is_leaf:
+                children = node.children
+
+                def cost(child):
+                    area = float(np.prod(child.upper - child.lower))
+                    if not children[0].is_leaf:
+                        return (enlargement(child, point), area)
+                    low, high = np.minimum(child.lower, point), np.maximum(child.upper, point)
+                    others = [o for o in children if o is not child]
+                    now = sum(overlap(child.lower, child.upper, o.lower, o.upper) for o in others)
+                    new = sum(overlap(low, high, o.lower, o.upper) for o in others)
+                    return (new - now, enlargement(child, point), area)
+
+                node = min(children, key=cost)
+            return node
+
+        def tree(store):
+            index = RStarTreeIndex(store, segments=4, leaf_capacity=6, node_capacity=4)
+            index.build()
+            return [
+                (n.is_leaf, n.level, list(n.positions), n.lower.tobytes(), n.upper.tobytes())
+                for n in index.root.iter_nodes()
+            ]
+
+        store = SeriesStore(random_walk_dataset(400, 32, seed=19))
+        arrays = tree(store)
+        monkeypatch.setattr(RStarTreeIndex, "_choose_leaf", per_child_choose_leaf)
+        assert tree(store) == arrays
+        assert sum(leaf for leaf, *_ in arrays) > 20
 
     def test_empty_mbr(self):
         node = RStarNode(is_leaf=True)
         node.recompute_mbr()
         assert node.lower is None
-        assert node.area == 0.0
 
 
 class TestSfaTrieNode:

@@ -1,12 +1,15 @@
 """Tests for the M-tree and R*-tree indexes."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro import SeriesStore
+from repro import Dataset, SeriesStore
 from repro.core.queries import KnnQuery
 from repro.indexes.mtree import MTreeIndex
 from repro.indexes.rstartree import RStarTreeIndex
+from repro.workloads import random_walk_dataset
 
 
 class TestMTree:
@@ -32,7 +35,10 @@ class TestMTree:
 
         def check(node):
             if node.is_leaf:
-                return [(entry.position, entry.vector) for entry in node.entries]
+                return [
+                    (p, index.store.peek(p, p + 1)[0].astype(np.float64))
+                    for p in node.position_block().tolist()
+                ]
             collected = []
             for entry in node.entries:
                 subtree_objects = check(entry.subtree)
@@ -64,9 +70,36 @@ class TestMTree:
         result = index.knn_approximate(tiny_queries[0])
         assert result.neighbors
 
-    def test_memory_resident_footprint(self, index):
-        assert index.index_stats.disk_bytes == 0
+    def test_memory_resident_footprint(self, index, tiny_dataset):
+        """Routing objects stay in memory; the data objects' series on disk."""
+        assert index.index_stats.disk_bytes == tiny_dataset.count * index.store.series_bytes
         assert index.index_stats.memory_bytes > 0
+
+    def test_leaf_entries_hold_no_vector(self, index):
+        for node in index.root.iter_nodes():
+            assert all((entry.vector is None) == node.is_leaf for entry in node.entries)
+
+    @pytest.mark.parametrize("capacity", [4, 8, 16])
+    def test_many_copies_of_one_series(self, capacity):
+        """Splits among identical series leave no node empty and no leaf over capacity."""
+        values = random_walk_dataset(60, 16, seed=1).values.copy()
+        values[10:60] = values[10]
+        index = MTreeIndex(SeriesStore(Dataset(values=values)), node_capacity=capacity)
+        index.build()
+        nodes = list(index.root.iter_nodes())
+        assert all(0 < node.size <= capacity for node in nodes)
+        positions = [p for leaf in index.root.leaves() for p in leaf.position_block().tolist()]
+        assert sorted(positions) == list(range(60))
+        result = index.knn_exact(KnnQuery(series=values[30].astype(np.float64), k=3))
+        assert result.positions() == [10, 11, 12]
+        assert result.distances() == [0.0, 0.0, 0.0]
+
+    def test_built_tree_pickles_smaller_than_the_float64_collection(self):
+        dataset = random_walk_dataset(20_000, 128, seed=29)
+        index = MTreeIndex(SeriesStore(dataset), node_capacity=16)
+        index.build()
+        index.store = None
+        assert len(pickle.dumps(index)) < dataset.count * dataset.length * 8
 
 
 class TestRStarTree:

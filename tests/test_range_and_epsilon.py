@@ -14,6 +14,8 @@ RANGE_METHODS = {
     "isax2+": {"leaf_capacity": 25},
     "va+file": {"coefficients": 8, "bits_per_dimension": 3},
     "m-tree": {"node_capacity": 8},
+    "r*-tree": {"leaf_capacity": 20, "segments": 8},
+    "sfa-trie": {"leaf_capacity": 25},
     "ucr-suite": {},   # exercises the base-class full-scan fallback
     "stepwise": {},    # also uses the fallback
 }
@@ -73,6 +75,17 @@ class TestRangeQueries:
         method = built_methods["dstree"]
         result = method.range_exact(RangeQuery(series=small_dataset[0], radius=0.5))
         assert result.stats.series_examined < small_dataset.count
+
+    @pytest.mark.parametrize("method_name", ["dstree", "isax2+", "m-tree", "r*-tree", "sfa-trie"])
+    def test_tree_range_reads_only_leaves_in_range(self, method_name, built_methods, small_dataset):
+        """Every tree answers ranges through its bounds, not a full scan."""
+        query = small_dataset.values[17].astype(np.float64) + 0.01
+        distances = np.sqrt(squared_euclidean_batch(query, small_dataset.values))
+        radius = float(np.partition(distances, 3)[3])
+        result = built_methods[method_name].range_exact(RangeQuery(series=query, radius=radius))
+        assert set(result.positions()) == brute_force_range(small_dataset, query, radius)
+        assert 0 < result.stats.series_examined < small_dataset.count
+        assert result.stats.leaves_visited == result.stats.random_accesses
 
     def test_range_requires_build(self, small_dataset):
         method = create_method("dstree", SeriesStore(small_dataset), leaf_capacity=25)
