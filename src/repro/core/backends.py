@@ -217,7 +217,8 @@ class StorageBackend(abc.ABC):
         A no-op for in-memory backends; the mmap backend advises the kernel
         that the pages are no longer needed, which is what keeps the resident
         set of a streaming scan bounded by the chunk size instead of the file
-        size.  Any derived :attr:`values` copy is dropped too.
+        size.  Any derived :attr:`values` copy is dropped too.  The compressed
+        backend keeps its decoded blocks, which ``cache_blocks`` already bounds.
         """
         self._frozen = None
 
@@ -475,9 +476,12 @@ class CompressedBackend(StorageBackend):
         file-global, so a non-block-aligned slice simply trims the decoded
         boundary blocks.
     cache_blocks:
-        Decoded-block LRU capacity.  Bounds the transient residency of a
-        streamed scan to ``cache_blocks * block_rows`` rows of integers
-        regardless of the collection size.
+        Decoded-block cache capacity: the residency bound.  At most
+        ``cache_blocks`` decoded blocks (integer codes) stay resident,
+        regardless of the collection size, and :meth:`release` never flushes
+        them.  A read takes its cached blocks before decoding any missing
+        ones, and a miss evicts the most recently used block the read does
+        not need, else the least recently used one (see :meth:`_blocks`).
 
     Lazy-open and picklable by (path, row range): the header/table, file
     handle, block cache, and any derived values are all dropped from the
@@ -553,13 +557,9 @@ class CompressedBackend(StorageBackend):
         size of the quantized representation a filtering pass reads."""
         return int(self._open().qdtype.itemsize)
 
-    # -- block decode ----------------------------------------------------------
-    def _block(self, index: int) -> tuple:
-        """Decoded ``(codes, scale, shift)`` of file-global block ``index``."""
-        cached = self._cache.get(index)
-        if cached is not None:
-            self._cache.move_to_end(index)
-            return cached
+    # -- block fetch -----------------------------------------------------------
+    def _decode(self, index: int) -> tuple:
+        """Read, verify and decode file-global block ``index`` (no caching)."""
         from .quantize import decode_payload
 
         info = self._open()
@@ -587,11 +587,36 @@ class CompressedBackend(StorageBackend):
         codes = decode_payload(
             payload, info.codec, info.qdtype, int(entry["rows"]), info.length
         )
-        block = (codes, np.float32(entry["scale"]), np.float32(entry["shift"]))
-        self._cache[index] = block
-        while len(self._cache) > self._cache_blocks:
-            self._cache.popitem(last=False)
-        return block
+        return codes, np.float32(entry["scale"]), np.float32(entry["shift"])
+
+    def _blocks(self, needed):
+        """Yield ``(index, (codes, scale, shift))`` once per block in ``needed``.
+
+        Cached blocks come first, then the misses in order.  A miss evicts the
+        most recently used block this read does not need, else the least
+        recently used one: MRU for looping references (the DBMIN rule), so a
+        repeated pass over more blocks than the cache holds keeps most warm.
+        """
+        cache, needed = self._cache, [int(b) for b in needed]
+        misses, keep = [b for b in needed if b not in cache], set(needed)
+        for b in needed:
+            if b in cache:
+                cache.move_to_end(b)
+                yield b, cache[b]
+        for b in misses:
+            block = self._decode(b)
+            if len(cache) >= self._cache_blocks:
+                del cache[next((v for v in reversed(cache) if v not in keep), next(iter(cache)))]
+            cache[b] = block
+            yield b, block
+
+    def _parts(self, start: int, stop: int):
+        """Yield ``(first_row, (codes, scale, shift))`` for the blocks of
+        *absolute* rows ``start:stop``, each trimmed to the range."""
+        rows = self._open().block_rows
+        for b, (codes, scale, shift) in self._blocks(range(*self._block_range(start, stop))):
+            lo = max(start, b * rows)
+            yield lo, (codes[lo - b * rows : stop - b * rows], scale, shift)
 
     def _block_range(self, start: int, stop: int) -> tuple[int, int]:
         """File-global blocks covering *absolute* rows ``start:stop``."""
@@ -613,17 +638,10 @@ class CompressedBackend(StorageBackend):
         frozen = self._frozen
         if frozen is not None:
             return frozen[1][start:stop]
-        a0, a1 = start + self._start, stop + self._start
-        rows = self._open().block_rows
-        out = np.empty((a1 - a0, self.length), dtype=SERIES_DTYPE)
-        b0, b1 = self._block_range(a0, a1)
-        for b in range(b0, b1):
-            codes, scale, shift = self._block(b)
-            lo = max(a0, b * rows)
-            hi = min(a1, b * rows + codes.shape[0])
-            out[lo - a0 : hi - a0] = dequantize_block(
-                codes[lo - b * rows : hi - b * rows], scale, shift
-            )
+        a0 = start + self._start
+        out = np.empty((stop - start, self.length), dtype=SERIES_DTYPE)
+        for lo, (codes, scale, shift) in self._parts(a0, stop + self._start):
+            out[lo - a0 : lo - a0 + codes.shape[0]] = dequantize_block(codes, scale, shift)
         return out
 
     def take(self, positions: np.ndarray) -> np.ndarray:
@@ -639,12 +657,9 @@ class CompressedBackend(StorageBackend):
         absolute = idx + self._start
         out = np.empty((idx.size, self.length), dtype=SERIES_DTYPE)
         blocks = absolute // rows
-        for b in np.unique(blocks):
-            codes, scale, shift = self._block(int(b))
+        for b, (codes, scale, shift) in self._blocks(np.unique(blocks)):
             mask = blocks == b
-            out[mask] = dequantize_block(
-                codes[absolute[mask] - int(b) * rows], scale, shift
-            )
+            out[mask] = dequantize_block(codes[absolute[mask] - b * rows], scale, shift)
         return out
 
     # -- quantized access ------------------------------------------------------
@@ -661,16 +676,8 @@ class CompressedBackend(StorageBackend):
         stop = min(self.count, int(stop))
         if stop <= start:
             return []
-        a0, a1 = start + self._start, stop + self._start
-        rows = self._open().block_rows
-        parts = []
-        b0, b1 = self._block_range(a0, a1)
-        for b in range(b0, b1):
-            codes, scale, shift = self._block(b)
-            lo = max(a0, b * rows)
-            hi = min(a1, b * rows + codes.shape[0])
-            parts.append((codes[lo - b * rows : hi - b * rows], scale, shift))
-        return parts
+        parts = sorted(self._parts(start + self._start, stop + self._start), key=lambda p: p[0])
+        return [part for _, part in parts]
 
     def physical_bytes(self, start: int, stop: int) -> int:
         info = self._open()
@@ -710,20 +717,6 @@ class CompressedBackend(StorageBackend):
             stop=self._stop,
             cache_blocks=self._cache_blocks,
         )
-
-    def release(self, start: int = 0, stop: int | None = None) -> None:
-        """Evict decoded blocks fully inside rows ``start:stop`` and any
-        derived :attr:`values` copy.  Boundary blocks shared with a
-        neighboring chunk stay cached, so a streamed scan never re-decodes a
-        block it is still consuming."""
-        super().release(start, stop)
-        if self._info is None or not self._cache:
-            return
-        rows = self._info.block_rows
-        a0 = self._start + max(0, int(start))
-        a1 = self._start + (self.count if stop is None else min(int(stop), self.count))
-        for b in [b for b in self._cache if b * rows >= a0 and (b + 1) * rows <= a1]:
-            del self._cache[b]
 
     def describe(self) -> dict:
         info = super().describe()

@@ -335,6 +335,7 @@ class SeriesStore:
         released with a one-chunk lookback, so residency stays bounded by the
         chunk size; ``positions`` is assumed ascending (index leaves keep
         their positions sorted), which makes the released spans contiguous.
+        The compressed backend's ``cache_blocks`` bound caps its decoded blocks.
         """
         idx = np.asarray(positions, dtype=np.int64)
         chunk_rows = max(1, int(chunk_rows or self.rows_per_build_chunk))
@@ -377,8 +378,8 @@ class SeriesStore:
         of the *stored* (compressed) stream; logical ``bytes_read`` of the
         integer codes.  Survivor refinement is accounted separately by the
         caller's :meth:`read_contiguous` calls (skip-sequential, like
-        VA+file).  Decoded blocks are dropped with a one-chunk lookback, so a
-        streamed pass stays RSS-bounded.
+        VA+file).  The backend's ``cache_blocks`` bound keeps a streamed pass
+        RSS-bounded, and a repeated pass finds most decoded blocks warm.
         """
         if not self.supports_quantized_scan:
             raise ValueError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...core.answers import KnnAnswerSet
+from ...core.answers import KnnAnswerSet, RangeAnswerSet
 from ...core.stats import QueryStats
 from ...core.storage import SeriesStore
 from ...summarization.sax import IsaxSummarizer, summarize_stream, symbolize_batch
@@ -123,6 +123,18 @@ class AdsPlusIndex(SearchMethod):
         # Skip-sequential scan: every run of surviving positions costs a seek.
         # The threshold was fixed before the scan, so it is one refinement.
         self._scan_runs(survivors, query, answers, stats)
+        return answers
+
+    def _range_exact(
+        self, query: np.ndarray, radius: float, stats: QueryStats
+    ) -> RangeAnswerSet:
+        """r-range query: refine exactly the series whose SIMS bound is in range."""
+        answers = RangeAnswerSet(radius=radius)
+        bounds = self.summarizer.lower_bound_batch(
+            self.summarizer.paa.transform(query), self._symbols
+        )
+        stats.lower_bounds_computed += bounds.shape[0]
+        self._scan_runs(np.flatnonzero(bounds <= radius), query, answers, stats)
         return answers
 
     def describe(self) -> dict:

@@ -671,7 +671,7 @@ class SearchMethod(abc.ABC):
         """Fallback r-range search: a full scan of the raw data (always exact).
 
         Serves the methods whose exact search is a scan: UCR Suite, MASS,
-        flat, the stepwise index and ADS+ (SIMS).
+        flat and the stepwise index.
         """
         answers = RangeAnswerSet(radius=radius)
         data = self.store.scan()

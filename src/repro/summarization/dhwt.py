@@ -111,10 +111,6 @@ class DhwtSummarizer(Summarizer):
             return full[: self.coefficients]
         return full[:, : self.coefficients]
 
-    def transform_full(self, series: np.ndarray) -> np.ndarray:
-        """All Haar coefficients (used by Stepwise, which needs every level)."""
-        return haar_transform(series)
-
     def lower_bound(self, query_summary: np.ndarray, candidate_summary: np.ndarray) -> float:
         q = np.asarray(query_summary, dtype=np.float64)
         c = np.asarray(candidate_summary, dtype=np.float64)

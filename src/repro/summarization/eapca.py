@@ -133,9 +133,6 @@ class SegmentSynopsis:
     std_max: float
     width: int
 
-    def contains_mean(self, value: float) -> bool:
-        return self.mean_min <= value <= self.mean_max
-
 
 @dataclass
 class NodeSynopsis:

@@ -8,8 +8,10 @@ from repro.core.distance import squared_euclidean_batch
 from repro.core.faults import FaultPlan, RetryPolicy
 from repro.core.queries import KnnQuery, RangeQuery
 from repro.indexes.mtree import MTreeIndex
+from repro.workloads import random_walk_dataset
 
 RANGE_METHODS = {
+    "ads+": {"leaf_capacity": 25},
     "dstree": {"leaf_capacity": 25},
     "isax2+": {"leaf_capacity": 25},
     "va+file": {"coefficients": 8, "bits_per_dimension": 3},
@@ -86,6 +88,17 @@ class TestRangeQueries:
         assert set(result.positions()) == brute_force_range(small_dataset, query, radius)
         assert 0 < result.stats.series_examined < small_dataset.count
         assert result.stats.leaves_visited == result.stats.random_accesses
+
+    def test_ads_range_prunes_with_sims_bounds(self):
+        """ADS+ refines only the series whose SIMS bound is within the radius."""
+        dataset = random_walk_dataset(2000, 64, seed=5)
+        method = create_method("ads+", SeriesStore(dataset), leaf_capacity=50)
+        method.build()
+        query = dataset.values[123].astype(np.float64)
+        result = method.range_exact(RangeQuery(series=query, radius=0.5))
+        assert set(result.positions()) == brute_force_range(dataset, query, 0.5)
+        assert 123 in result.positions()
+        assert result.stats.series_examined < dataset.count
 
     def test_range_requires_build(self, small_dataset):
         method = create_method("dstree", SeriesStore(small_dataset), leaf_capacity=25)
