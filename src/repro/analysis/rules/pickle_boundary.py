@@ -34,10 +34,6 @@ STATE_CLASSES = {
     "GrowableBackend",
     "FaultInjectingBackend",
     "BufferPool",
-    # ships its slot index, never its cells or lock
-    "SharedRadius",
-    # ships its local content, never its radius
-    "SharedKnnAnswerSet",
 }
 
 #: task-plan classes: picklable by design, but must never carry arrays.

@@ -156,10 +156,6 @@ class KnnAnswerSet:
         return len(self._heap)
 
     @property
-    def is_full(self) -> bool:
-        return len(self._heap) >= self.k
-
-    @property
     def worst_squared_distance(self) -> float:
         """Current pruning threshold (squared).  Infinite until k answers exist."""
         if len(self._heap) < self.k:

@@ -1,4 +1,4 @@
-"""Parallel execution: worker pools, the shared pruning radius, batch dispatch.
+"""Parallel execution: worker pools and batch dispatch.
 
 One pipeline, two ways to reach a worker.  The sharded wrapper describes its
 work as tasks and hands them to an :class:`Executor`; what the executor
@@ -14,9 +14,8 @@ decides is only where a task runs:
   persistent warm ``multiprocessing`` pool, so descent scales too; tasks and
   results cross a pickle boundary, and a SIGKILLed worker is survived.
 
-Both hand out the same cross-shard pruning handle, :class:`SharedRadius` —
-one cell per in-flight query, owned by the executor (a plain list for
-threads, a shared-memory array for processes) — and both report per-task
+Tasks share nothing while they run: each one's result and work counters are a
+function of its inputs alone.  Both executors report per-task
 :class:`TaskOutcome` records from :meth:`Executor.map_outcomes`, so dispatch,
 retry, merge and degradation are written once, above this module.
 
@@ -45,14 +44,12 @@ the final ulp — the caveat their batch path already documents).
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import sys
 import threading
 import time
 from concurrent.futures import (
-    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait as futures_wait,
@@ -79,7 +76,6 @@ __all__ = [
     "Executor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "SharedRadius",
     "parallel_batch_search",
 ]
 
@@ -247,83 +243,21 @@ def parallel_map_outcomes(
     ]
 
 
-class SharedRadius:
-    """One query's monotonically tightening best-so-far squared radius.
-
-    Concurrent shard searches publish their local pruning threshold here and
-    read the global minimum to prune against answers found by *other* shards.
-    The handle names one cell of a slot of cells its executor owns — a plain
-    list for in-process workers, a shared-memory ``multiprocessing`` array for
-    process workers — and pickles as the cell's index only: a pool worker
-    resolves the index against the table its pool initializer installed.
-
-    Updates are lock-guarded and monotone (the value only ever decreases), so
-    a stale read is always a *looser* threshold — never incorrect, exactness
-    does not depend on the interleaving.  Reads are one list load (atomic
-    under the GIL) or one aligned 8-byte load (atomic on every supported
-    platform), so the pruning hot path takes no lock.
-    """
-
-    __slots__ = ("_cells", "_lock", "index")
-
-    def __init__(self, cells, lock, index: int) -> None:
-        self._cells = cells
-        self._lock = lock
-        self.index = int(index)
-
-    @property
-    def value(self) -> float:
-        """The current global threshold (squared distance)."""
-        return self._cells[self.index]
-
-    def tighten(self, value: float) -> bool:
-        """Lower the shared threshold to ``value`` if it improves the current one."""
-        cells, index = self._cells, self.index
-        if not value < cells[index]:  # cheap lock-free rejection of stale updates
-            return False
-        with self._lock:
-            if value < cells[index]:
-                cells[index] = value
-                return True
-        return False
-
-    def __reduce__(self):
-        return _worker_radius, (self.index,)
-
-
 # --------------------------------------------------------------------------- #
 # Executor seam
 # --------------------------------------------------------------------------- #
 
-#: worker-process view of the coordinator's shared radius table, installed by
-#: the pool initializer (shared ``multiprocessing`` synchronized objects can
-#: only travel to children at spawn time, never inside task arguments).
-_WORKER_RADIUS_TABLE = None
 
-
-def _process_worker_init(radius_table, sys_paths: list[str]) -> None:
+def _process_worker_init(sys_paths: list[str]) -> None:
     """Pool initializer run once in each spawned worker process.
 
-    Stashes the shared radius table in a module global and replays the
-    parent's ``sys.path`` so spawned children resolve ``repro`` regardless of
-    how the parent acquired it (``PYTHONPATH``, ``sys.path`` edits, editable
-    installs).
+    Replays the parent's ``sys.path`` so spawned children resolve ``repro``
+    regardless of how the parent acquired it (``PYTHONPATH``, ``sys.path``
+    edits, editable installs).
     """
-    global _WORKER_RADIUS_TABLE
-    _WORKER_RADIUS_TABLE = radius_table
     for path in reversed(sys_paths):
         if path and path not in sys.path:
             sys.path.insert(0, path)
-
-
-def _worker_radius(index: int) -> SharedRadius:
-    """Unpickle a :class:`SharedRadius` inside a pool worker."""
-    table = _WORKER_RADIUS_TABLE
-    if table is None:
-        raise RuntimeError(
-            "a SharedRadius handle only unpickles inside a process-pool worker"
-        )
-    return SharedRadius(table.get_obj(), table.get_lock(), index)
 
 
 class Executor:
@@ -331,8 +265,7 @@ class Executor:
 
     Implementations provide a fault-capturing :meth:`map_outcomes` (absolute
     monotonic ``deadline`` semantics identical to
-    :func:`parallel_map_outcomes`) and own the cells behind the
-    :class:`SharedRadius` handles of the queries in flight.
+    :func:`parallel_map_outcomes`).
     """
 
     kind: str = ""
@@ -350,22 +283,6 @@ class Executor:
         self, fn: Callable, items: Iterable, deadline: float | None = None
     ) -> list[TaskOutcome]:
         raise NotImplementedError
-
-    def acquire_radii(self, count: int) -> list[SharedRadius | None]:
-        """One fresh radius (at ``inf``) per query of a fan-out, in query order.
-
-        In-process cells are a new list per call and are never reused, so a
-        task that outlives its fan-out's deadline can only ever tighten the
-        radius of the query it belongs to.  ``None`` entries (executors with
-        a bounded table) mean "no sharing for this query": local-only
-        pruning, identical answers.
-        """
-        cells = [math.inf] * count
-        lock = threading.Lock()
-        return [SharedRadius(cells, lock, index) for index in range(count)]
-
-    def release_radii(self, radii: list[SharedRadius | None]) -> None:
-        """Give back what :meth:`acquire_radii` handed out, once the fan-out returned."""
 
     def close(self) -> None:
         """Release pooled resources; the executor lazily recreates them on reuse."""
@@ -425,32 +342,16 @@ class ProcessExecutor(Executor):
     + import startup per worker — which is why the pool is persistent and
     worker-side index caches make repeated queries cheap.
 
-    Cross-process pruning uses a fixed table of shared-memory radius slots
-    created *before* the pool and handed to workers via the pool initializer
-    (``multiprocessing`` synchronized objects cannot ride task arguments).
-    Slots are recycled, so a slot released while a task that missed its
-    fan-out's deadline is still running is held back until that task has
-    finished: a straggler must never tighten the radius of the slot's next
-    query.  A SIGKILLed worker surfaces as :class:`BrokenProcessPool` on every
+    A SIGKILLed worker surfaces as :class:`BrokenProcessPool` on every
     in-flight future; those tasks are reported as failed outcomes and the
     broken pool is discarded so the next dispatch transparently spawns a
-    fresh one (the radius table survives — it belongs to the executor, not
-    the pool).
+    fresh one.
     """
 
     kind = "process"
     in_process = False
 
-    #: default number of concurrently shareable query radii; overflow queries
-    #: silently fall back to local-only pruning (same answers, more work).
-    RADIUS_SLOTS = 512
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        start_method: str | None = None,
-        radius_slots: int | None = None,
-    ) -> None:
+    def __init__(self, workers: int | None = None, start_method: str | None = None) -> None:
         super().__init__(workers)
         method = (
             start_method
@@ -459,14 +360,6 @@ class ProcessExecutor(Executor):
         )
         self.start_method = method
         self._ctx = multiprocessing.get_context(method)
-        slots = int(radius_slots if radius_slots is not None else self.RADIUS_SLOTS)
-        self._radius_table = self._ctx.Array("d", slots)
-        self._free_slots = list(range(slots))
-        #: tasks still running after their fan-out's deadline, and the slots
-        #: released while any of them was: ``(stragglers, slots)`` pairs.
-        self._stragglers: list[Future] = []
-        self._held_slots: list[tuple[tuple[Future, ...], list[int]]] = []
-        self._slot_lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
 
@@ -482,7 +375,7 @@ class ProcessExecutor(Executor):
                         max_workers=self.workers,
                         mp_context=self._ctx,
                         initializer=_process_worker_init,
-                        initargs=(self._radius_table, [p for p in sys.path if p]),
+                        initargs=([p for p in sys.path if p],),
                     )
         return pool
 
@@ -494,8 +387,7 @@ class ProcessExecutor(Executor):
 
     def close(self) -> None:
         # Unlike discarding a *broken* pool (whose workers are already dead),
-        # a clean close waits: a worker still mid-spawn would otherwise try to
-        # attach the radius table's semaphore after the parent unlinked it.
+        # a clean close waits, so no worker outlives its executor.
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
@@ -525,10 +417,6 @@ class ProcessExecutor(Executor):
             futures_wait(futures, timeout=max(0.0, deadline - time.monotonic()))
             for future in futures:
                 future.cancel()
-            with self._slot_lock:
-                self._stragglers = [
-                    f for f in self._stragglers + futures if not f.done()
-                ]
         outcomes: list[TaskOutcome] = []
         broken = False
         for future in futures:
@@ -544,39 +432,6 @@ class ProcessExecutor(Executor):
         if broken:
             self._discard_pool()
         return outcomes
-
-    # -- shared radius slots ------------------------------------------------ #
-
-    def acquire_radii(self, count: int) -> list[SharedRadius | None]:
-        with self._slot_lock:
-            self._reclaim_slots()
-            free = self._free_slots
-            taken = [free.pop() for _ in range(min(count, len(free)))]
-        cells, lock = self._radius_table.get_obj(), self._radius_table.get_lock()
-        with lock:
-            for index in taken:
-                cells[index] = math.inf
-        radii: list[SharedRadius | None] = [
-            SharedRadius(cells, lock, index) for index in taken
-        ]
-        # Table exhausted: the remaining queries prune locally.
-        return radii + [None] * (count - len(taken))
-
-    def release_radii(self, radii: list[SharedRadius | None]) -> None:
-        slots = [radius.index for radius in radii if radius is not None]
-        with self._slot_lock:
-            self._held_slots.append((tuple(self._stragglers), slots))
-            self._reclaim_slots()
-
-    def _reclaim_slots(self) -> None:
-        """Free held slots whose stragglers have all finished (slot lock held)."""
-        held = []
-        for stragglers, slots in self._held_slots:
-            if any(not future.done() for future in stragglers):
-                held.append((stragglers, slots))
-            else:
-                self._free_slots.extend(slots)
-        self._held_slots = held
 
 
 def default_executor_kind() -> str:

@@ -168,9 +168,9 @@ class SearchMethod(abc.ABC):
 
         ``store`` substitutes a forked store so access accounting is private
         to this worker; ``answer_factory`` substitutes the k-NN answer-set
-        constructor (the sharded wrapper injects sets wired to a cross-shard
-        shared pruning radius).  Both apply to the current thread only and are
-        restored on exit, so concurrent workers compose without interference.
+        constructor (a tracing pass injects an instrumented set).  Both apply
+        to the current thread only and are restored on exit, so concurrent
+        workers compose without interference.
         """
         ctx = self._context
         previous = (getattr(ctx, "store", None), getattr(ctx, "answer_factory", None))
@@ -324,10 +324,8 @@ class SearchMethod(abc.ABC):
         produces (queries pass through the collection dtype first, just as
         :class:`~repro.core.queries.KnnQuery` coerces them).
 
-        Contract for overrides: create exactly one answer set per query, in
-        query order, via :meth:`_make_answer_set` — the sharded wrapper wires
-        per-query shared pruning radii through that factory and relies on the
-        call order to match sets to queries.
+        Contract for overrides: create each query's answer set via
+        :meth:`_make_answer_set`, so an injected ``answer_factory`` sees it.
         """
         answer_sets: list[KnnAnswerSet] = []
         stats_list: list[QueryStats] = []

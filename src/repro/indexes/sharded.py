@@ -35,21 +35,21 @@ The executor decides only how step 2 materialises a task:
 
 Query semantics are the pipeline's, hence executor-independent:
 
-* **k-NN**: every shard searches its partition; shards publish their local
-  best-so-far into the query's :class:`~repro.core.parallel.SharedRadius`,
-  which the other shards read to prune harder.  The per-shard
+* **k-NN**: every shard searches its partition with the inner method's own
+  exact search, pruning on its own approximate seed and its own answers —
+  shards share nothing while they run.  The per-shard
   :class:`~repro.core.answers.KnnAnswerSet` results are merged with the
   deterministic ``(distance, position)`` tie-break, so the merged answers are
-  **byte-identical** to running the unsharded method — and identical for any
-  worker count and either executor, including ``workers=1``.
+  **byte-identical** to running the unsharded method, and the per-query work
+  counters are the sum of the shards' own: a pure function of the query and
+  the shard layout, identical for any worker count and either executor.
 * **batch k-NN**: the query batch is chunked and every (shard, chunk) pair is
-  one unit, so inter-query and intra-query parallelism compose; each query
-  carries its own shared radius across shards, and shards with a vectorized
-  batch path (flat, MASS) keep it per shard.  (For those two GEMM-based batch
-  kernels the *distances* may differ from the unsharded batch call in the
-  final ulp — BLAS blocking depends on tile shape — exactly the caveat the
-  batch API already carries relative to per-query search; the chunk layout
-  does not depend on the executor.)
+  one unit, so inter-query and intra-query parallelism compose; each shard
+  applies its own (possibly vectorized) batch path to its chunk.  (For the
+  flat and MASS GEMM-based batch kernels the *distances* may differ from the
+  unsharded batch call in the final ulp — BLAS blocking depends on tile
+  shape — exactly the caveat the batch API already carries relative to
+  per-query search; the chunk layout does not depend on the executor.)
 * **range / epsilon queries**: same fan-out, with concatenated match lists
   (range) or merged bounded answer sets (the M-tree's epsilon search).
 
@@ -66,7 +66,6 @@ and persistence treat it like any other method.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 import pickle
@@ -88,44 +87,7 @@ from ..core.stats import QueryStats
 from ..core.storage import SeriesStore
 from .base import SearchMethod, SearchResult
 
-__all__ = ["ShardedMethod", "SharedKnnAnswerSet"]
-
-
-class SharedKnnAnswerSet(KnnAnswerSet):
-    """A k-NN answer set whose pruning threshold is tightened across shards.
-
-    The *content* of the set is purely local (each shard keeps its own top-k),
-    but the :attr:`worst_squared_distance` read by the shard's pruning logic
-    is the minimum of the local threshold and the shared radius — any object
-    with the :class:`~repro.core.parallel.SharedRadius` ``value``/``tighten``
-    API.  The shared value is an upper bound on the final merged k-th
-    distance, so pruning against it never discards a merged-top-k candidate;
-    it only skips work another shard has already made redundant.  Admissions
-    publish the local threshold back.
-    """
-
-    def __init__(self, k: int, shared) -> None:
-        super().__init__(k)
-        self._shared = shared
-
-    @property
-    def worst_squared_distance(self) -> float:
-        local = KnnAnswerSet.worst_squared_distance.fget(self)
-        return min(local, self._shared.value)
-
-    def offer(self, position: int, squared_distance: float) -> bool:
-        admitted = super().offer(position, squared_distance)
-        if admitted:
-            local = KnnAnswerSet.worst_squared_distance.fget(self)
-            if local < float("inf"):
-                self._shared.tighten(local)
-        return admitted
-
-    def __reduce__(self):
-        # The radius matters only while shards search; a finished set crosses
-        # a pickle boundary as its (purely local) content.
-        state = {k: v for k, v in self.__dict__.items() if k != "_shared"}
-        return object.__new__, (KnnAnswerSet,), state
+__all__ = ["ShardedMethod"]
 
 
 @dataclass
@@ -155,7 +117,7 @@ class _ShardTask:
     """One unit of shard work: what to run, on which index, over which bytes.
 
     ``store`` is a fresh fork of the shard's store and ``payload`` the
-    operation's arguments (query arrays, k, shared-radius handles).  The index
+    operation's arguments (query arrays, k, radius or epsilon).  The index
     comes one of two ways.  In process, ``method`` is the shard's built index
     by reference — such a task refuses to pickle.  Across a pickle boundary
     the task is a *plan*: ``method_name`` + ``params`` + a by-path ``store``
@@ -217,35 +179,6 @@ def _content_key(store: SeriesStore) -> str:
     return digest.hexdigest()
 
 
-def _radius_answer_set(k: int, radius) -> KnnAnswerSet:
-    """An answer set pruning against ``radius``; ``None`` means local-only
-    pruning (the executor's radius table overflowed): more work, same answers."""
-    return KnnAnswerSet(k) if radius is None else SharedKnnAnswerSet(k, radius)
-
-
-def _batch_answer_factory(radii: list):
-    """Answer-set factory wiring per-query shared radii to queries, in order.
-
-    Relies on — and checks — the ``_batch_answer_sets`` contract: exactly one
-    answer set per query, in query order.  Violations raise rather than
-    silently crossing radii between queries.
-    """
-    pending = iter(radii)
-
-    def factory(k: int) -> KnnAnswerSet:
-        try:
-            radius = next(pending)
-        except StopIteration:
-            raise RuntimeError(
-                "_batch_answer_sets created more answer sets than "
-                "queries; implementations must create exactly one "
-                "answer set per query, in query order"
-            ) from None
-        return _radius_answer_set(k, radius)
-
-    return factory
-
-
 def _method_blob(method: SearchMethod) -> bytes:
     """Pickle a built method with its store detached (no raw data in transit)."""
     base_store = method._base_store
@@ -295,13 +228,7 @@ def _execute_shard_task(task: _ShardTask):
     store, op, payload = task.store, task.op, task.payload
     dispatched = store.counter_snapshot()
     method = _task_method(task)
-    factory = None
-    if op == "knn":
-        # Every answer set the shard makes for this query shares its radius.
-        factory = functools.partial(_radius_answer_set, radius=payload["radii"][0])
-    elif op == "batch":
-        factory = _batch_answer_factory(payload["radii"])
-    with method.execution_context(store=store, answer_factory=factory):
+    with method.execution_context(store=store):
         before = dispatched if op == "build" else store.counter_snapshot()
         if op == "build":
             # A plan's index was built on arrival and ships back store-detached;
@@ -406,8 +333,8 @@ class ShardedMethod(SearchMethod):
         self.workers = resolve_workers(workers)
         resolved_executor = resolve_executor(executor, self.workers)
         self._executor_obj: Executor | None = resolved_executor
-        #: the kind string re-resolved after unpickling (executors hold pools
-        #: and shared-memory tables; only their kind crosses a pickle).
+        #: the kind string re-resolved after unpickling (executors hold pools;
+        #: only their kind crosses a pickle).
         self._executor_spec = resolved_executor.kind
         self.shard_attempts = int(shard_attempts)
         if self.shard_attempts < 1:
@@ -536,8 +463,8 @@ class ShardedMethod(SearchMethod):
 
     def __getstate__(self) -> dict:
         state = super().__getstate__()
-        # Executors hold pools and shared-memory tables; spills are per-process
-        # temporaries.  Both are recreated lazily from the kind string.
+        # Executors hold pools; spills are per-process temporaries.  Both are
+        # recreated lazily (the executor from its kind string).
         state["_executor_obj"] = None
         state["_spill_dir"] = None
         state["_spill_store"] = None
@@ -825,12 +752,7 @@ class ShardedMethod(SearchMethod):
 
     # -- search -------------------------------------------------------------------
     def _knn_exact(self, query: np.ndarray, k: int, stats: QueryStats) -> KnnAnswerSet:
-        radii = self.executor.acquire_radii(1)
-        try:
-            payload = {"query": query, "k": int(k), "radii": radii}
-            return self._merged_knn("knn", payload, stats)
-        finally:
-            self.executor.release_radii(radii)
+        return self._merged_knn("knn", {"query": query, "k": int(k)}, stats)
 
     def _knn_approximate(
         self, query: np.ndarray, k: int, stats: QueryStats
@@ -855,10 +777,9 @@ class ShardedMethod(SearchMethod):
 
         Chunking the batch adds inter-query parallelism on top of the shard
         fan-out when there are more workers than shards; each shard applies
-        its own (possibly vectorized) batch path to every chunk.  Every query
-        gets its own shared radius, so — exactly like the single-query path —
-        an answer found for query ``j`` in one shard tightens every other
-        shard's pruning for query ``j``.  The chunk layout depends on the
+        its own (possibly vectorized) batch path to every chunk, and — as on
+        the single-query path — prunes on its own answers only.  The chunk
+        layout depends on the
         worker and shard counts only, so the GEMM tile shapes — and therefore
         the flat/MASS batch distances — are identical on every executor.
         """
@@ -873,20 +794,16 @@ class ShardedMethod(SearchMethod):
         ]
         merged_sets = [self._make_answer_set(k) for _ in range(total)]
         merged_stats = [QueryStats(dataset_size=self.store.count) for _ in range(total)]
-        radii = self.executor.acquire_radii(total)
-        try:
-            units = [
-                (
-                    shard,
-                    "batch",
-                    {"queries": queries[sl], "k": int(k), "radii": radii[sl]},
-                    merged_stats[sl],  # a failed unit degrades exactly these queries
-                )
-                for shard, sl in spans
-            ]
-            results = self._run_units(units)
-        finally:
-            self.executor.release_radii(radii)
+        units = [
+            (
+                shard,
+                "batch",
+                {"queries": queries[sl], "k": int(k)},
+                merged_stats[sl],  # a failed unit degrades exactly these queries
+            )
+            for shard, sl in spans
+        ]
+        results = self._run_units(units)
         for (shard, sl), result in zip(spans, results):
             if result is None:
                 continue

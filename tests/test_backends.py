@@ -275,22 +275,21 @@ class TestBackendEquivalence:
     def test_sharded_answers_and_counters_match(
         self, method_name, memory_dataset, mmap_dataset, queries
     ):
-        # workers=1 runs the identical fan-out sequentially, which keeps the
-        # counters deterministic (with concurrent workers the cross-shard
-        # shared-radius tightening order — and therefore the pruning work —
-        # varies run to run, independent of the backend).
-        params = dict(METHOD_PARAMS[method_name], shards=3, workers=1)
-        mem = create_method(f"sharded:{method_name}", SeriesStore(memory_dataset), **params)
-        mm = create_method(f"sharded:{method_name}", SeriesStore(mmap_dataset), **params)
-        mem.build()
-        mm.build()
-        assert mem.store.counter == mm.store.counter
-        for q in queries[:2]:
-            a = mem.knn_exact(KnnQuery(series=q, k=5))
-            b = mm.knn_exact(KnnQuery(series=q, k=5))
-            assert a.positions() == b.positions()
-            assert a.distances() == b.distances()
-        assert mem.store.counter == mm.store.counter
+        # Shards prune on their own answers, so the counters agree whether the
+        # fan-out runs sequentially or concurrently.
+        for workers in (1, 2):
+            params = dict(METHOD_PARAMS[method_name], shards=3, workers=workers)
+            mem = create_method(f"sharded:{method_name}", SeriesStore(memory_dataset), **params)
+            mm = create_method(f"sharded:{method_name}", SeriesStore(mmap_dataset), **params)
+            mem.build()
+            mm.build()
+            assert mem.store.counter == mm.store.counter
+            for q in queries[:2]:
+                a = mem.knn_exact(KnnQuery(series=q, k=5))
+                b = mm.knn_exact(KnnQuery(series=q, k=5))
+                assert a.positions() == b.positions()
+                assert a.distances() == b.distances()
+            assert mem.store.counter == mm.store.counter
 
     @pytest.mark.parametrize("method_name", ["flat", "dstree"])
     def test_sharded_concurrent_workers_on_mmap(

@@ -16,7 +16,6 @@ teardown shuts them down.
 """
 
 import pickle
-import time
 
 import numpy as np
 import pytest
@@ -677,7 +676,7 @@ class TestOnePipeline:
         self, tmp_path, executor
     ):
         """Query 1 misses its deadline on every shard and comes back degraded
-        while its tasks are still running; they finish — and publish *their*
+        while its tasks are still running; they finish — having found *their*
         k-th distance (zero: query 1 is a row of the collection) — during
         query 2, which must still return the exact answer."""
         values = _tie_values()
@@ -708,7 +707,7 @@ class TestOnePipeline:
 
 
 class TestExecutorSeam:
-    """The seam itself: resolution, env control, slots, plumbing, persistence."""
+    """The seam itself: resolution, env control, plumbing, persistence."""
 
     def test_default_kind_follows_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
@@ -737,78 +736,6 @@ class TestExecutorSeam:
             shards=2,
         )
         assert method.executor_kind == "process"
-
-    def test_radius_slot_pool_and_overflow(self):
-        executor = ProcessExecutor(workers=1, radius_slots=2)
-        radii = executor.acquire_radii(3)
-        live = [r for r in radii if r is not None]
-        assert len(live) == 2  # table exhausted: the third query prunes locally
-        assert radii[2] is None
-        for radius in live:
-            assert radius.value == float("inf")
-        assert live[0].tighten(4.0) and not live[0].tighten(5.0)
-        assert (live[0].value, live[1].value) == (4.0, float("inf"))
-        # The handle ships its slot index, never its cells or lock.
-        assert live[0].__reduce__()[1] == (live[0].index,)
-        executor.release_radii(radii)
-        again = executor.acquire_radii(2)
-        assert sorted(r.index for r in again) == sorted(r.index for r in live)
-        assert all(r.value == float("inf") for r in again)  # reset on acquire
-        executor.close()
-
-    def test_radius_slot_is_held_back_while_a_straggler_runs(self):
-        """A slot released while a task that missed its fan-out's deadline is
-        still running must not reach the next query: the straggler still holds
-        the handle and would tighten the new owner's radius with *its* k-th
-        distance (silently dropping true neighbours)."""
-        executor = ProcessExecutor(workers=1, radius_slots=1)
-        try:
-            executor.map_outcomes(time.sleep, [0.0])  # warm the pool
-            (held,) = executor.acquire_radii(1)
-            (outcome,) = executor.map_outcomes(
-                time.sleep, [0.5], deadline=time.monotonic() + 0.05
-            )
-            assert outcome.timed_out
-            executor.release_radii([held])
-            # The fan-out returned, its task did not: the only slot stays out
-            # of circulation and the next query prunes locally.
-            assert executor.acquire_radii(1) == [None]
-            executor.release_radii([None])
-            held.tighten(0.25)  # the straggler publishes into its own slot
-            # One worker: this returns once the straggler ahead of it is done.
-            executor.map_outcomes(time.sleep, [0.0])
-            (fresh,) = executor.acquire_radii(1)
-            assert fresh is not None and fresh.index == held.index
-            assert fresh.value == float("inf")
-        finally:
-            executor.close()
-
-    def test_worker_slot_factory_enforces_batch_contract(self):
-        """The worker-side answer-set factory raises when an inner batch path
-        creates more answer sets than queries, on either executor."""
-        from repro.indexes.sharded import _batch_answer_factory
-
-        (radius,) = ThreadExecutor(1).acquire_radii(1)
-        factory = _batch_answer_factory([None, radius])
-        assert factory(3).worst_squared_distance == float("inf")
-        shared = factory(1)
-        shared.offer(0, 2.0)
-        assert radius.value == 2.0  # the second query's set publishes to its radius
-        with pytest.raises(RuntimeError, match="one answer set per query"):
-            factory(3)
-
-    def test_thread_executor_radii_are_never_reused(self):
-        """In-process cells are fresh per fan-out and unbounded in number, so
-        a handle kept past its release can never reach a later query."""
-        executor = ThreadExecutor(4)
-        radii = executor.acquire_radii(600)
-        assert all(r is not None and r.value == float("inf") for r in radii)
-        stale = radii[0]
-        executor.release_radii(radii)
-        (fresh,) = executor.acquire_radii(1)
-        assert stale.tighten(0.25)
-        assert fresh.value == float("inf")
-        executor.close()
 
     def test_engine_and_runner_plumbing(self, queries):
         values = _tie_values()

@@ -287,21 +287,30 @@ class TestFusedEqualsReferenceLoops:
 
     @pytest.mark.parametrize("name", sorted(METHOD_PARAMS))
     def test_sharded_thread_and_process(self, backend_store, queries, monkeypatch, name):
-        """One worker keeps the cross-shard radius, and so the counts, deterministic."""
-        def sharded(executor):
+        """Shards prune on their own answers, so the counts agree for any worker count."""
+        def sharded(executor, workers):
             return build(
-                f"sharded:{name}", backend_store("mmap"), shards=3, workers=1, executor=executor
+                f"sharded:{name}",
+                backend_store("mmap"),
+                shards=3,
+                workers=workers,
+                executor=executor,
             )
 
         unsharded = observe(build(name, backend_store("mmap")), queries)
-        thread = observe(sharded("thread"), queries)
-        process = observe(sharded("process"), queries)
-        for cls, attribute, reference in REFERENCES[name]:
-            monkeypatch.setattr(cls, attribute, reference)
-        looped = observe(sharded("thread"), queries)  # the patch reaches threads only
-        assert thread == looped
-        assert process == thread
-        assert [answers for answers, _, _ in thread] == [answers for answers, _, _ in unsharded]
+        for workers in (1, 2):
+            thread = observe(sharded("thread", workers), queries)
+            process = observe(sharded("process", workers), queries)
+            with monkeypatch.context() as patch:
+                for cls, attribute, reference in REFERENCES[name]:
+                    patch.setattr(cls, attribute, reference)
+                # the patch reaches threads only
+                looped = observe(sharded("thread", workers), queries)
+            assert thread == looped
+            assert process == thread
+            assert [answers for answers, _, _ in thread] == [
+                answers for answers, _, _ in unsharded
+            ]
 
 
 # --------------------------------------------------------------------------- #

@@ -316,14 +316,14 @@ def test_pickle_boundary_requires_a_guard_on_live_references_in_task_plans():
     assert clean == []
 
 
-def test_pickle_boundary_covers_the_shared_radius_handle():
+def test_pickle_boundary_covers_the_growable_backend():
     findings, _ = lint(
         """
-        class SharedRadius:
-            def __init__(self, cells, lock, index):
-                self._cells, self._lock, self.index = cells, lock, index
+        class GrowableBackend:
+            def __init__(self, path, segments):
+                self.path, self._segments = path, segments
         """,
-        "repro/core/fake_parallel.py",
+        "repro/core/fake_growable.py",
     )
     assert rule_names(findings) == {"pickle-boundary"}
 

@@ -1,12 +1,14 @@
 """Tests for the parallel sharded execution engine.
 
 Covers the ``ShardedMethod`` wrapper (partition-parallel builds, shard
-fan-out with a shared best-so-far radius, deterministic answer merging), the
+fan-out with per-shard pruning, deterministic answer merging), the
 ``core.parallel`` helpers, the thread-safe ``BufferPool``, the engine/runner
 ``workers=`` dispatch, and persistence of sharded indexes.  The central
 contract: ``ShardedMethod(m, shards=S, workers=W)`` returns exactly ``m``'s
 answers — including distance ties, ``k`` larger than a shard, range and
-epsilon queries — for every registered method and every worker count.
+epsilon queries — for every registered method and every worker count —
+and per-query work counters that are the sum of the shards' own, whatever
+the executor or worker count.
 """
 
 import threading
@@ -26,7 +28,12 @@ from repro import (
 )
 from repro.core.answers import KnnAnswerSet
 from repro.core.buffer import BufferPool
-from repro.core.parallel import ThreadExecutor, chunk_slices, parallel_map, resolve_workers
+from repro.core.parallel import (
+    chunk_slices,
+    parallel_map,
+    resolve_workers,
+    shutdown_shared_executors,
+)
 from repro.core.queries import KnnQuery, RangeQuery
 from repro.indexes.sharded import ShardedMethod
 from repro.workloads import random_walk_dataset, synth_rand_workload
@@ -180,11 +187,7 @@ class TestShardedEquivalence:
 
 class TestWorkerInvarianceAndStats:
     def test_worker_count_does_not_change_answers(self, tie_dataset, queries):
-        """workers=1 and workers=4 return byte-identical answers.
-
-        (Work *stats* may legitimately differ with timing: the shared radius
-        is a performance hint whose pruning depends on publication order.)
-        """
+        """workers=1 and workers=4 return byte-identical answers."""
         results = []
         for workers in (1, 4):
             method = create_method(
@@ -202,22 +205,24 @@ class TestWorkerInvarianceAndStats:
             assert_identical(a, b)
 
     def test_sequential_fanout_stats_deterministic(self, tie_dataset, queries):
-        """With workers=1 the fan-out is ordered, so stats are reproducible."""
-        runs = []
-        for _ in range(2):
-            method = create_method(
-                "sharded:isax2+",
-                SeriesStore(tie_dataset),
-                shards=SHARDS,
-                workers=1,
-                leaf_capacity=10,
-            )
-            method.build()
-            runs.append(method.knn_exact(KnnQuery(series=queries[0], k=3)).stats)
-        a, b = runs
-        assert a.series_examined == b.series_examined
-        assert a.leaves_visited == b.leaves_visited
-        assert a.random_accesses == b.random_accesses
+        """Shards prune on their own answers only, so stats are reproducible
+        whether the fan-out is ordered (one worker) or concurrent."""
+        for workers in (1, 2):
+            runs = []
+            for _ in range(2):
+                method = create_method(
+                    "sharded:isax2+",
+                    SeriesStore(tie_dataset),
+                    shards=SHARDS,
+                    workers=workers,
+                    leaf_capacity=10,
+                )
+                method.build()
+                runs.append(method.knn_exact(KnnQuery(series=queries[0], k=3)).stats)
+            a, b = runs
+            assert a.series_examined == b.series_examined
+            assert a.leaves_visited == b.leaves_visited
+            assert a.random_accesses == b.random_accesses
 
     def test_stats_totals_are_shard_sums(self, tie_dataset, queries):
         """Merged QueryStats are the exact sum of the per-shard searches."""
@@ -231,13 +236,14 @@ class TestWorkerInvarianceAndStats:
         sharded.build()
         merged = sharded.knn_exact(KnnQuery(series=queries[0], k=3)).stats
 
-        # Independent shard runs (no shared radius) bound the merged totals
-        # from above, and every shard contributes at least its seeded leaf.
+        # Each shard searches exactly as it would on its own, and every shard
+        # contributes at least its seeded leaf.
         independent_leaves = 0
         for shard in sharded._shards:
             result = shard.method.knn_exact(KnnQuery(series=queries[0], k=3))
             independent_leaves += result.stats.leaves_visited
-        assert sharded.shard_count <= merged.leaves_visited <= independent_leaves
+        assert merged.leaves_visited == independent_leaves
+        assert merged.leaves_visited >= sharded.shard_count
         assert 0 < merged.series_examined <= tie_dataset.count
         assert merged.dataset_size == tie_dataset.count
         # The store-level roll-up matches the per-query charge.
@@ -248,7 +254,8 @@ class TestWorkerInvarianceAndStats:
         assert result.stats.bytes_read == delta.bytes_read
 
     def test_shared_radius_tightens_pruning(self, tie_dataset):
-        """A self-query's zero radius must spread: other shards prune to ~0."""
+        """Every shard prunes on its own answers: a self-query stays far below
+        a full scan although only one shard holds the zero-distance match."""
         sharded = create_method(
             "sharded:dstree",
             SeriesStore(tie_dataset),
@@ -258,34 +265,19 @@ class TestWorkerInvarianceAndStats:
         )
         sharded.build()
         stats = sharded.knn_exact(KnnQuery(series=tie_dataset.values[7], k=1)).stats
-        # Without radius sharing every shard would scan at least one leaf plus
-        # every tied leaf; with sharing the total stays far below a full scan.
+        # Each shard scans its seeded leaf plus the leaves its own k-th
+        # distance cannot rule out; together that is far below a full scan.
         assert stats.series_examined < tie_dataset.count / 2
 
-    def test_shared_radius_applies_to_batch_path(self, tie_dataset):
-        """Batch queries carry per-query radii: self-queries prune cross-shard."""
-        sharded = create_method(
-            "sharded:dstree",
-            SeriesStore(tie_dataset),
-            shards=SHARDS,
-            workers=1,
-            leaf_capacity=10,
-        )
-        sharded.build()
-        batch = sharded.knn_exact_batch(tie_dataset.values[[7, 30]], k=1)
-        for result in batch:
-            assert result.distances()[0] == 0.0
-            assert result.stats.series_examined < tie_dataset.count / 2
-
-    def test_large_thread_batches_keep_cross_shard_pruning(self, tie_dataset):
-        """In-process radii are not a bounded table: query 512 and beyond of
-        one batch prune across shards exactly as they would in a small batch
-        (a 512-slot table would hand them ``None`` and local-only pruning)."""
+    def test_large_batch_work_equals_independent_shard_work(self, tie_dataset):
+        """The tail of a 600-query batch does exactly the work it does as a
+        batch of its own, and exactly what the two shards, searched on their
+        own, do for the same queries."""
         sharded = create_method(
             "sharded:dstree",
             SeriesStore(tie_dataset),
             shards=2,
-            workers=1,  # ordered fan-out: the work per query is deterministic
+            workers=2,
             executor="thread",
             leaf_capacity=10,
         )
@@ -299,43 +291,12 @@ class TestWorkerInvarianceAndStats:
         assert [r.stats.series_examined for r in big[512:]] == [
             r.stats.series_examined for r in tail
         ]
-        # ... and that work is pruned work: less than the two shards, searched
-        # independently, examine for the same queries.
-        independent = sum(
-            r.stats.series_examined
+        per_shard = [
+            [r.stats.series_examined for r in shard.method.knn_exact_batch(batch[512:], k=1)]
             for shard in sharded._shards
-            for r in shard.method.knn_exact_batch(batch[512:], k=1)
-        )
-        assert sum(r.stats.series_examined for r in tail) < independent
-
-    def test_batch_factory_contract_violation_raises(self, tie_dataset):
-        """An inner batch path creating extra answer sets must fail loudly.
-
-        Pinned to the thread executor: the monkeypatched inner method cannot
-        cross the pickle boundary (process workers rebuild their own); the
-        worker-side half of the same contract is unit-tested in
-        test_executors.py.
-        """
-        sharded = create_method(
-            "sharded:flat",
-            SeriesStore(tie_dataset),
-            shards=2,
-            workers=1,
-            executor="thread",
-        )
-        sharded.build()
-        inner = sharded._shards[0].method
-
-        def greedy_batch(queries, k):
-            inner._make_answer_set(k)  # one extra set beyond one-per-query
-            sets = [inner._make_answer_set(k) for _ in range(queries.shape[0])]
-            from repro.core.stats import QueryStats
-
-            return sets, [QueryStats() for _ in sets]
-
-        inner._batch_answer_sets = greedy_batch
-        with pytest.raises(RuntimeError, match="one answer set per query"):
-            sharded.knn_exact_batch(tie_dataset.values[:2], k=1)
+        ]
+        independent = [sum(work) for work in zip(*per_shard)]
+        assert [r.stats.series_examined for r in tail] == independent
 
     def test_build_stats_aggregate_shards(self, built_pairs, tie_dataset):
         plain, sharded = built_pairs["isax2+"]
@@ -345,6 +306,73 @@ class TestWorkerInvarianceAndStats:
         assert sharded.index_stats.method == "sharded:isax2+"
         # Build I/O rolled up from every shard: at least one scan of the data.
         assert sharded.index_stats.sequential_pages > 0
+
+
+#: the per-query work counters a shard's search charges.
+WORK_COUNTERS = ("series_examined", "lower_bounds_computed", "nodes_visited", "leaves_visited")
+
+#: the best-first trees plus ADS+: the methods whose pruning depends on the
+#: answers found so far.
+SHARDED_TREES = ["ads+", "dstree", "isax2+", "m-tree", "r*-tree", "sfa-trie"]
+
+
+def _work(stats) -> tuple:
+    return tuple(getattr(stats, name) for name in WORK_COUNTERS)
+
+
+class TestDeterministicShardCounters:
+    """Shards share nothing while they search, so a query's work counters are
+    a pure function of the query and the shard layout.
+
+    Only work counters are compared: a retried task is thrown away whole, so
+    a transient fault plan moves ``retries`` but never these.
+    """
+
+    @pytest.fixture(scope="class", autouse=True)
+    def _release_pools(self):
+        yield
+        shutdown_shared_executors()
+
+    @pytest.mark.parametrize("method_name", SHARDED_TREES)
+    def test_work_is_the_shard_sum_on_every_executor_and_worker_count(
+        self, tie_dataset, queries, method_name
+    ):
+        params = SHARDED_METHOD_PARAMS[method_name]
+        observed = set()
+        for executor in ("thread", "process"):
+            for workers in (1, 2, 4):
+                sharded = create_method(
+                    f"sharded:{method_name}",
+                    SeriesStore(tie_dataset),
+                    shards=SHARDS,
+                    workers=workers,
+                    executor=executor,
+                    **params,
+                )
+                sharded.build()
+                for _ in range(5):
+                    observed.add(
+                        tuple(
+                            _work(sharded.knn_exact(KnnQuery(series=q, k=5)).stats)
+                            for q in queries
+                        )
+                    )
+                batch = sharded.knn_exact_batch(queries, k=5)
+                observed.add(tuple(_work(result.stats) for result in batch))
+        shard_sums = tuple(
+            tuple(
+                sum(counts)
+                for counts in zip(
+                    *(
+                        _work(shard.method.knn_exact(KnnQuery(series=q, k=5)).stats)
+                        for shard in sharded._shards
+                    )
+                )
+            )
+            for q in queries
+        )
+        assert observed == {shard_sums}
+        assert all(work[0] for work in shard_sums)  # the searches did examine rows
 
 
 class TestShardedConfiguration:
@@ -577,19 +605,6 @@ class TestParallelPrimitives:
         ]
         with pytest.raises(RuntimeError):
             parallel_map(lambda x: (_ for _ in ()).throw(RuntimeError("boom")), [1, 2], 2)
-
-    def test_shared_radius_monotone_under_threads(self):
-        (shared,) = ThreadExecutor(4).acquire_radii(1)
-        assert shared.value == float("inf")
-        values = [float(v) for v in np.random.default_rng(5).random(400) * 100]
-
-        def publish(chunk):
-            for v in chunk:
-                shared.tighten(v)
-
-        parallel_map(publish, [values[i::4] for i in range(4)], workers=4)
-        assert shared.value == min(values)
-        assert not shared.tighten(min(values) + 1.0)
 
     def test_store_fork_isolates_counters(self, tie_dataset):
         store = SeriesStore(tie_dataset)

@@ -251,31 +251,30 @@ class TestShardedStreamedBuilds:
     def test_sharded_memory_vs_mmap_byte_identical(
         self, dataset, mmap_dataset, queries, method_name, chunk
     ):
-        # workers=1 runs the identical fan-out sequentially, which keeps the
-        # counters deterministic (with concurrent workers the cross-shard
-        # shared radius makes pruning work timing-dependent; answers are
-        # byte-identical either way and covered by the test below).
+        # Shards prune on their own answers, so the counters agree whether the
+        # fan-out runs sequentially or concurrently.
         chunk(ODD_CHUNKS[0])
-        params = dict(TREE_METHOD_PARAMS[method_name])
-        params.update(shards=2, workers=1, executor="thread")
-        mem = create_method(f"sharded:{method_name}", SeriesStore(dataset), **params)
-        mm = create_method(
-            f"sharded:{method_name}",
-            SeriesStore(mmap_dataset, backend="mmap"),
-            **params,
-        )
-        mem.build()
-        mm.build()
-        try:
-            assert query_facts(mem, queries) == query_facts(mm, queries)
-            for shard_mem, shard_mm in zip(mem._shards, mm._shards):
-                assert shard_mem.method.store.rows_per_build_chunk == ODD_CHUNKS[0]
-                assert tree_fingerprint(shard_mem.method) == tree_fingerprint(
-                    shard_mm.method
-                )
-        finally:
-            mem.close()
-            mm.close()
+        for workers in (1, 2):
+            params = dict(TREE_METHOD_PARAMS[method_name])
+            params.update(shards=2, workers=workers, executor="thread")
+            mem = create_method(f"sharded:{method_name}", SeriesStore(dataset), **params)
+            mm = create_method(
+                f"sharded:{method_name}",
+                SeriesStore(mmap_dataset, backend="mmap"),
+                **params,
+            )
+            mem.build()
+            mm.build()
+            try:
+                assert query_facts(mem, queries) == query_facts(mm, queries)
+                for shard_mem, shard_mm in zip(mem._shards, mm._shards):
+                    assert shard_mem.method.store.rows_per_build_chunk == ODD_CHUNKS[0]
+                    assert tree_fingerprint(shard_mem.method) == tree_fingerprint(
+                        shard_mm.method
+                    )
+            finally:
+                mem.close()
+                mm.close()
 
     def test_sharded_matches_unsharded_answers(self, dataset, queries, chunk):
         chunk(ODD_CHUNKS[0])
